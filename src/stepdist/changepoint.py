@@ -7,6 +7,14 @@ accepted if its maximal statistic is extreme relative to the same scan
 applied to seeded permutations of the window. Accepted splits recurse on
 both halves until nothing significant remains.
 
+Calibration is sequential (Besag & Clifford 1991): permutations are
+drawn and scanned in row blocks, and a window stops as soon as its
+decision is fixed, either because enough permutations already reach the
+observed statistic to make the split non-significant, or because the
+ones left could no longer do so. Every decision equals that of the full
+test with all ``permutations`` rows; the exact p-value of a window that
+stops early is not computed.
+
 Everything is deterministic: the permutation stream for a window is
 derived from ``(seed, window start, window end)``, so results do not
 depend on recursion order and are reproducible bit-for-bit.
@@ -14,6 +22,7 @@ depend on recursion order and are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 
@@ -104,11 +113,32 @@ class DetectionParams:
             )
         if self.permutations < 1:
             raise ValueError(f"permutations must be >= 1, got {self.permutations}")
+        if self.significance < 1 / (self.permutations + 1):
+            raise ValueError(
+                f"significance {self.significance} < 1/(permutations + 1) = "
+                f"{1 / (self.permutations + 1)}: {self.permutations} permutations can never "
+                "reject the null"
+            )
+
+
+# Permutation rows are scanned in blocks: the first holds _FIRST_BLOCK_ROWS
+# rows and each next one twice as many, capped at _BLOCK_CELLS cells (rows x
+# window length). Short windows then make few scan calls, and the scan
+# temporaries of long windows stay cache-sized instead of B x n.
+_FIRST_BLOCK_ROWS = 16
+_BLOCK_CELLS = 2**17
 
 
 def _window_rng(seed: int, lo: int, hi: int) -> np.random.Generator:
     # Window-addressed stream: results are independent of recursion order.
     return np.random.default_rng(np.random.SeedSequence([seed % (2**63), lo, hi]))
+
+
+def _split_sizes(n: int, min_segment: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left sizes n_l, right sizes n_r and 1/n_l + 1/n_r of every admissible split."""
+    n_l = np.arange(min_segment, n - min_segment + 1, dtype=float)
+    n_r = n - n_l
+    return n_l, n_r, 1.0 / n_l + 1.0 / n_r
 
 
 def _scan_profile(rows: np.ndarray, min_segment: int, attribute: Attribute) -> np.ndarray:
@@ -119,7 +149,18 @@ def _scan_profile(rows: np.ndarray, min_segment: int, attribute: Attribute) -> n
     Degenerate splits map to 0 (mean) or 1 (variance) when both sides are
     flat, and to +inf when only one side is.
     """
+    return _scan(rows, min_segment, attribute, _split_sizes(rows.shape[1], min_segment))
+
+
+def _scan(
+    rows: np.ndarray,
+    min_segment: int,
+    attribute: Attribute,
+    sizes: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """``_scan_profile`` with the window's ``_split_sizes`` computed once by the caller."""
     _, n = rows.shape
+    n_l, n_r, inv_sizes = sizes
     # Centering per row improves conditioning of the sum-of-squares update
     # and leaves both statistics unchanged.
     rows = rows - rows.mean(axis=1, keepdims=True)
@@ -129,13 +170,11 @@ def _scan_profile(rows: np.ndarray, min_segment: int, attribute: Attribute) -> n
     totq = cq[:, -1:]
     sum_l = cs[:, min_segment - 1 : n - min_segment]
     sq_l = cq[:, min_segment - 1 : n - min_segment]
-    n_l = np.arange(min_segment, n - min_segment + 1, dtype=float)
-    n_r = n - n_l
     sse_l = np.maximum(sq_l - sum_l * sum_l / n_l, 0.0)
     sse_r = np.maximum((totq - sq_l) - (tot - sum_l) ** 2 / n_r, 0.0)
     if attribute is Attribute.MEAN:
         diff = np.abs(sum_l / n_l - (tot - sum_l) / n_r)
-        se = np.sqrt((sse_l + sse_r) / (n - 2) * (1.0 / n_l + 1.0 / n_r))
+        se = np.sqrt((sse_l + sse_r) / (n - 2) * inv_sizes)
         with np.errstate(divide="ignore", invalid="ignore"):
             stat = diff / se
         flat = se == 0.0
@@ -172,6 +211,30 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
             f"series {series.id!r}: {n} observations < 2 * min_segment = {2 * ms}"
         )
     found: list[int] = []
+    b = params.permutations
+    # Largest exceedance count whose p-value (1 + k) / (b + 1) is still
+    # <= significance, found with that exact expression so that rounding
+    # cannot move the boundary. Exceedances only grow as permutations run.
+    limit = bisect.bisect_right(range(b + 1), params.significance, key=lambda k: (1 + k) / (b + 1)) - 1
+
+    def significant(w: np.ndarray, lo: int, hi: int, observed: float) -> bool:
+        sizes = _split_sizes(w.size, ms)
+        max_rows = max(1, _BLOCK_CELLS // w.size)
+        rng = _window_rng(params.seed, lo, hi)
+        exceed = done = 0
+        rows = _FIRST_BLOCK_ROWS
+        # Past the limit the split is rejected; once the permutations left
+        # cannot pass it, the split is accepted.
+        while exceed <= limit and exceed + (b - done) > limit:
+            # A block ends where acceptance becomes certain if it adds no exceedance.
+            take = min(rows, max_rows, b - done - (limit - exceed))
+            block = np.tile(w, (take, 1))
+            rng.permuted(block, axis=1, out=block)
+            perm_max = _scan(block, ms, params.attribute, sizes).max(axis=1)
+            exceed += int(np.count_nonzero(perm_max >= observed))
+            done += take
+            rows *= 2
+        return exceed <= limit
 
     def recurse(lo: int, hi: int) -> None:
         if hi - lo < 2 * ms:
@@ -179,13 +242,7 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         w = x[lo:hi]
         profile = _scan_profile(w[np.newaxis, :], ms, params.attribute)[0]
         best = int(np.argmax(profile))  # first occurrence: smallest split on ties
-        observed = profile[best]
-        perms = np.tile(w, (params.permutations, 1))
-        _window_rng(params.seed, lo, hi).permuted(perms, axis=1, out=perms)
-        perm_max = _scan_profile(perms, ms, params.attribute).max(axis=1)
-        exceed = int(np.count_nonzero(perm_max >= observed))
-        p_value = (1 + exceed) / (params.permutations + 1)
-        if p_value <= params.significance:
+        if significant(w, lo, hi, profile[best]):
             cp = lo + ms + best
             found.append(cp)
             recurse(lo, cp)

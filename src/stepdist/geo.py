@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateStation, InvalidCoordinate
+from .errors import DuplicateStation, InvalidCoordinate, UnparseableCell
 from .matrices import LabeledSquareMatrix, MatrixKind
 
 EARTH_RADIUS_KM = 6371.0088
@@ -66,14 +66,18 @@ def read_stations_csv(path) -> list[StationMetadata]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["id", "lat_deg", "lon_deg"]:
-        raise ValueError(f"{path}: expected header 'id,lat_deg,lon_deg'")
+        raise UnparseableCell(f"{path}: expected header 'id,lat_deg,lon_deg'")
     out = []
     for row in rows[1:]:
         if not row:
             continue
         if len(row) != 3:
-            raise ValueError(f"{path}: malformed station row {row}")
-        out.append(StationMetadata(row[0].strip(), float(row[1]), float(row[2])))
+            raise UnparseableCell(f"{path}: malformed station row {row}")
+        try:
+            lat, lon = float(row[1]), float(row[2])
+        except ValueError:
+            raise UnparseableCell(f"{path}: malformed station row {row}") from None
+        out.append(StationMetadata(row[0].strip(), lat, lon))
     return out
 
 

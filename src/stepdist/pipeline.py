@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -113,11 +114,14 @@ def ingest(
                 columns[j].append(None)
                 continue
             try:
-                columns[j].append(float(tok))
+                value = float(tok)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise UnparseableCell(
-                    f"{series_csv}: row {r}, column {ids[j]!r}: cannot parse {tok!r}"
-                ) from None
+                    f"{series_csv}: row {r}, column {ids[j]!r}: cannot parse {tok!r} as a finite number"
+                )
+            columns[j].append(value)
     series = []
     for sid, col in zip(ids, columns):
         first = next((v for v in col if v is not None), None)

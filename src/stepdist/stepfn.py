@@ -119,14 +119,27 @@ def _merged_values(f: StepFunction, g: StepFunction) -> tuple[np.ndarray, np.nda
     return np.diff(edges), vf, vg
 
 
+def _power_sum(mags: np.ndarray, widths: np.ndarray, p: float) -> float:
+    """Exact sum of |v|^p * len over the cells; inf when it exceeds the float range."""
+    with np.errstate(over="ignore"):
+        terms = mags * widths if p == 1.0 else mags**p * widths
+    try:
+        return math.fsum(terms.tolist())
+    except OverflowError:  # finite terms whose sum overflows
+        return INF
+
+
 def _segment_norm(values: np.ndarray, widths: np.ndarray, h: float, p: float) -> float:
     if p == INF:
         return float(np.max(np.abs(values)))
-    if p == 1.0:
-        terms = np.abs(values) * widths
-    else:
-        terms = np.abs(values) ** p * widths
-    total = math.fsum(terms.tolist()) / h
+    mags = np.abs(values)
+    total = _power_sum(mags, widths, p) / h
+    if total == INF or total == 0.0:
+        # Unless every value is 0 (or one is inf), |v|^p overflowed or
+        # underflowed: factor out the largest magnitude and sum again.
+        scale = float(np.max(mags))
+        if 0.0 < scale < INF:
+            return scale * float((_power_sum(mags / scale, widths, p) / h) ** (1.0 / p))
     return float(total ** (1.0 / p))
 
 

@@ -98,3 +98,71 @@ def f_scan_oracle(x: np.ndarray, min_segment: int) -> int:
         if stat > best_stat:
             best_stat, best_s = stat, s
     return best_s
+
+
+def _full_scan_profile(rows: np.ndarray, min_segment: int, attribute: str) -> np.ndarray:
+    """The detector's split scan as it was before sequential calibration."""
+    _, n = rows.shape
+    rows = rows - rows.mean(axis=1, keepdims=True)
+    cs = np.cumsum(rows, axis=1)
+    cq = np.cumsum(rows * rows, axis=1)
+    tot = cs[:, -1:]
+    totq = cq[:, -1:]
+    sum_l = cs[:, min_segment - 1 : n - min_segment]
+    sq_l = cq[:, min_segment - 1 : n - min_segment]
+    n_l = np.arange(min_segment, n - min_segment + 1, dtype=float)
+    n_r = n - n_l
+    sse_l = np.maximum(sq_l - sum_l * sum_l / n_l, 0.0)
+    sse_r = np.maximum((totq - sq_l) - (tot - sum_l) ** 2 / n_r, 0.0)
+    if attribute == "mean":
+        diff = np.abs(sum_l / n_l - (tot - sum_l) / n_r)
+        se = np.sqrt((sse_l + sse_r) / (n - 2) * (1.0 / n_l + 1.0 / n_r))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stat = diff / se
+        flat = se == 0.0
+        stat[flat] = np.where(diff[flat] > 0.0, np.inf, 0.0)
+    else:
+        var_l = sse_l / (n_l - 1.0)
+        var_r = sse_r / (n_r - 1.0)
+        hi = np.maximum(var_l, var_r)
+        lo = np.minimum(var_l, var_r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stat = hi / lo
+        flat = lo == 0.0
+        stat[flat] = np.where(hi[flat] > 0.0, np.inf, 1.0)
+    return stat
+
+
+def full_permutation_detector(
+    x: np.ndarray, attribute: str, significance: float, min_segment: int, permutations: int, seed: int
+) -> tuple[int, ...]:
+    """Binary segmentation that scans all B permutations of every window at once.
+
+    The detector before sequential calibration, kept verbatim: one
+    B x n permutation matrix per window and the p-value (1 + exceed) / (B + 1).
+    """
+    n = x.size
+    ms = min_segment
+    found: list[int] = []
+
+    def recurse(lo: int, hi: int) -> None:
+        if hi - lo < 2 * ms:
+            return
+        w = x[lo:hi]
+        profile = _full_scan_profile(w[np.newaxis, :], ms, attribute)[0]
+        best = int(np.argmax(profile))
+        observed = profile[best]
+        perms = np.tile(w, (permutations, 1))
+        rng = np.random.default_rng(np.random.SeedSequence([seed % (2**63), lo, hi]))
+        rng.permuted(perms, axis=1, out=perms)
+        perm_max = _full_scan_profile(perms, ms, attribute).max(axis=1)
+        exceed = int(np.count_nonzero(perm_max >= observed))
+        p_value = (1 + exceed) / (permutations + 1)
+        if p_value <= significance:
+            cp = lo + ms + best
+            found.append(cp)
+            recurse(lo, cp)
+            recurse(cp, hi)
+
+    recurse(0, n)
+    return tuple(sorted(found))

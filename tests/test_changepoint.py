@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stepdist import changepoint as changepoint_module
 from stepdist import (
     Attribute,
     ChangePointSet,
@@ -9,9 +10,11 @@ from stepdist import (
     detect_change_points,
     segment_statistics,
 )
+from stepdist.cli import main
 from stepdist.errors import DegenerateSegment, SeriesTooShort
+from stepdist.synthetic import benchmark_suite
 
-from tests.helpers import f_scan_oracle, t_scan_oracle
+from tests.helpers import f_scan_oracle, full_permutation_detector, t_scan_oracle
 
 
 def jump_series(rng, n=400, at=200, size=10.0, sigma=1.0, sid="x"):
@@ -98,6 +101,140 @@ class TestDetect:
         assert rates[-1] > rates[0]
 
 
+def full_test(ts, params):
+    return full_permutation_detector(
+        ts.values,
+        params.attribute.value,
+        params.significance,
+        params.min_segment,
+        params.permutations,
+        params.seed,
+    )
+
+
+def random_series(seed, n):
+    """Noise of random scale with 0-3 random mean shifts."""
+    rng = np.random.default_rng((41, seed))
+    values = rng.standard_normal(n) * rng.uniform(0.5, 3.0)
+    for c in rng.integers(10, n - 10, size=int(rng.integers(0, 4))):
+        values[c:] += rng.normal(0.0, 2.0)
+    return TimeSeries(f"r{seed}", values)
+
+
+class TestSequentialCalibration:
+    """The block-wise, early-stopping test keeps every decision of the full test."""
+
+    @pytest.mark.parametrize("attribute", list(Attribute))
+    def test_committed_suite_matches_full_test(self, attribute):
+        params = DetectionParams(attribute=attribute)
+        for ts in benchmark_suite():
+            assert detect_change_points(ts, params).points == full_test(ts, params)
+
+    @pytest.mark.parametrize(
+        "significance, permutations",
+        [
+            (s, b)
+            for s in (0.01, 0.05, 0.1, 0.2)
+            for b in (15, 16, 17, 199, 999)
+            if s >= 1 / (b + 1)  # smaller levels are rejected by DetectionParams
+        ],
+    )
+    def test_random_series_match_full_test(self, significance, permutations):
+        for seed in range(4):
+            ts = random_series(seed, n=int(np.random.default_rng(seed).integers(60, 400)))
+            for attribute in Attribute:
+                params = DetectionParams(
+                    attribute=attribute,
+                    significance=significance,
+                    min_segment=15,
+                    permutations=permutations,
+                    seed=seed,
+                )
+                assert detect_change_points(ts, params).points == full_test(ts, params)
+
+    @pytest.mark.parametrize("significance", [0.5, 0.9])
+    def test_single_permutation_matches_full_test(self, significance):
+        for seed in range(6):
+            ts = random_series(seed, n=150)
+            params = DetectionParams(significance=significance, permutations=1, min_segment=10, seed=seed)
+            assert detect_change_points(ts, params).points == full_test(ts, params)
+
+    @pytest.mark.parametrize(
+        "significance, permutations",
+        # p-values (1 + k) / (B + 1) that equal the level exactly
+        [(0.05, 199), (0.07, 99), (0.1, 999), (0.3, 9)],
+    )
+    def test_level_on_the_p_value_grid_matches_full_test(self, significance, permutations):
+        for seed in range(6):
+            ts = random_series(seed, n=200)
+            params = DetectionParams(
+                significance=significance, permutations=permutations, min_segment=20, seed=seed
+            )
+            assert detect_change_points(ts, params).points == full_test(ts, params)
+
+    @pytest.mark.parametrize("attribute", list(Attribute))
+    def test_length_exactly_twice_min_segment(self, attribute):
+        rng = np.random.default_rng(8)
+        values = np.concatenate([rng.normal(0, 1, 30), rng.normal(8, 6, 30)])
+        ts = TimeSeries("w", values)
+        params = DetectionParams(attribute=attribute)
+        cps = detect_change_points(ts, params)
+        assert cps.points == full_test(ts, params) == (30,)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.full(120, 3.0),  # every statistic 0 (mean) or 1 (variance)
+            np.r_[np.zeros(60), np.ones(60)],  # flat halves: +inf at the true split
+            np.r_[np.zeros(60), np.random.default_rng(3).normal(0, 1, 60)],  # one flat side
+            np.r_[np.full(50, 2.0), np.random.default_rng(4).normal(0, 1, 70)],
+        ],
+    )
+    @pytest.mark.parametrize("attribute", list(Attribute))
+    def test_flat_windows_match_full_test(self, values, attribute):
+        ts = TimeSeries("f", values)
+        params = DetectionParams(attribute=attribute, min_segment=10)
+        assert detect_change_points(ts, params).points == full_test(ts, params)
+
+    def test_blockwise_permutation_equals_one_shot_stream(self):
+        w = np.random.default_rng(0).standard_normal(300)
+        one_shot = np.tile(w, (199, 1))
+        changepoint_module._window_rng(5, 0, 300).permuted(one_shot, axis=1, out=one_shot)
+        rng = changepoint_module._window_rng(5, 0, 300)
+        blocks = []
+        for rows in (16, 32, 64, 1, 3, 83):
+            block = np.tile(w, (rows, 1))
+            rng.permuted(block, axis=1, out=block)
+            blocks.append(block)
+        assert np.array_equal(np.vstack(blocks), one_shot)
+
+    def test_stops_early_and_bounds_blocks(self, monkeypatch):
+        blocks = []
+        real = changepoint_module._scan
+
+        def recording(rows, *args):
+            blocks.append(rows.shape)
+            return real(rows, *args)
+
+        monkeypatch.setattr(changepoint_module, "_scan", recording)
+        params = DetectionParams(min_segment=100)
+        # Pure noise: the split is rejected long before all 199 permutations.
+        noise = TimeSeries("n", np.random.default_rng(1).standard_normal(3000))
+        assert detect_change_points(noise, params).points == ()
+        observed, *perms = blocks  # the window's own scan comes first
+        assert observed == (1, 3000)
+        assert sum(r for r, _ in perms) < params.permutations
+        # A 10-sigma jump: accepted once the last 9 permutations (p <= 10/200
+        # even if all exceed) cannot change the decision.
+        blocks.clear()
+        jump = TimeSeries("j", np.r_[np.zeros(1500), np.full(1500, 10.0)] + noise.values)
+        assert detect_change_points(jump, params).points == (1500,)
+        top = [r for r, n in blocks if n == 3000][1:]
+        assert sum(top) == params.permutations - 9
+        assert top[0] == changepoint_module._FIRST_BLOCK_ROWS
+        assert all(r * n <= changepoint_module._BLOCK_CELLS for r, n in blocks)
+
+
 class TestSegmentStatistics:
     def test_mean_halves(self):
         ts = TimeSeries("a", [1.0, 1.0, 2.0, 2.0])
@@ -152,3 +289,15 @@ class TestValidation:
     def test_permutations_positive(self):
         with pytest.raises(ValueError):
             DetectionParams(permutations=0)
+
+    def test_significance_below_smallest_p_value_rejected(self):
+        with pytest.raises(ValueError, match="never"):
+            DetectionParams(significance=0.001, permutations=199)
+        DetectionParams(significance=0.001, permutations=999)
+        DetectionParams(significance=1 / 200, permutations=199)
+
+    def test_unreachable_significance_is_config_error(self, tmp_path):
+        src = tmp_path / "s.csv"
+        src.write_text("t,x,y\n" + "\n".join(f"{t},{t % 7},{t % 5}" for t in range(100)) + "\n")
+        code = main(["run", "--series", str(src), "--out", str(tmp_path / "o"), "--significance", "0.001"])
+        assert code == 2

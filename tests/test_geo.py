@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stepdist import EARTH_RADIUS_KM, StationMetadata, geo_distance_matrix, haversine_km
-from stepdist.errors import DuplicateStation, InvalidCoordinate
+from stepdist.errors import DuplicateStation, InvalidCoordinate, UnparseableCell
 from stepdist.geo import read_stations_csv, write_stations_csv
 
 from tests.helpers import haversine_oracle
@@ -87,5 +87,12 @@ class TestStationCsv:
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name,lat,lon\nx,0,0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(UnparseableCell):
+            read_stations_csv(path)
+
+    @pytest.mark.parametrize("row", ["x,xx,0", "x,0", "x,0,0,0"])
+    def test_malformed_row_is_input_error(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,lat_deg,lon_deg\n{row}\n")
+        with pytest.raises(UnparseableCell):
             read_stations_csv(path)

@@ -199,6 +199,21 @@ class TestCli:
         code = main(["run", "--series", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_non_finite_cell_is_input_error(self, tmp_path):
+        src = tmp_path / "s.csv"
+        rows = [f"{t},{t % 7},{'inf' if t == 50 else t % 5}" for t in range(100)]
+        src.write_text("\n".join(["t,x,y", *rows]) + "\n")
+        assert main(["run", "--series", str(src), "--out", str(tmp_path / "o")]) == 1
+
+    def test_malformed_station_csv_is_input_error(self, tmp_path):
+        stations = tmp_path / "stations.csv"
+        lines = FIXTURE_STATIONS.read_text().splitlines()
+        stations.write_text("\n".join([lines[0], "alpha,xx,0.4", *lines[2:]]) + "\n")
+        code = main(
+            ["run", "--series", str(FIXTURE_SERIES), "--metadata", str(stations), "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+
     def test_missing_required_option_is_config_error(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "o")]) == 2
 

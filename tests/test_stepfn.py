@@ -90,6 +90,30 @@ class TestNorm:
             norms = [lp_norm(f, p) for p in ps]
             assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
+    @pytest.mark.parametrize("p", [50.0, 300.0, 1e4])
+    def test_large_finite_p_closed_form(self, p):
+        f = StepFunction((0.0, 1.0, 2.0), (10.0, 20.0))
+        expected = 20.0 * ((1.0 + 0.5**p) / 2.0) ** (1.0 / p)
+        assert lp_norm(f, p) == pytest.approx(expected, rel=1e-12)
+        zero = StepFunction.constant(0.0, 2.0)
+        assert lp_distance(f, zero, p) == pytest.approx(expected, rel=1e-12)
+
+    def test_large_p_approaches_sup_norm(self):
+        f = StepFunction((0.0, 1.0, 2.0), (10.0, 20.0))
+        norms = [lp_norm(f, p) for p in (50.0, 300.0, 1e4)]
+        assert norms == sorted(norms)
+        assert 20.0 - norms[-1] < 20.0 * math.log(2.0) / 1e4
+        assert norms[-1] < lp_norm(f, math.inf) == 20.0
+
+    def test_underflowing_powers_rescaled(self):
+        f = StepFunction((0.0, 1.0, 2.0), (1e-10, 2e-10))
+        expected = 2e-10 * ((1.0 + 0.5**300) / 2.0) ** (1.0 / 300)
+        assert lp_norm(f, 300.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_overflowing_sum_rescaled(self):
+        f = StepFunction((0.0, 1.0, 2.0), (1e308, -1e308))
+        assert lp_norm(f, 1.0) == 1e308
+
     def test_invalid_p_rejected(self):
         with pytest.raises(ValueError):
             lp_norm(StepFunction.constant(1.0, 1.0), 0.5)
