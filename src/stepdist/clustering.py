@@ -2,7 +2,8 @@
 
 Agglomerative clustering is implemented directly so tie-breaking is
 pinned down (smallest node-id pair wins), which the determinism contract
-needs. Spectral clustering embeds into the k smallest eigenvectors of
+needs; each merge is one masked argmin and one vectorised Lance-Williams
+row update. Spectral clustering embeds into the k smallest eigenvectors of
 the symmetric normalised Laplacian, row-normalises, and runs seeded
 k-means with farthest-point initialisation.
 """
@@ -75,35 +76,40 @@ def hierarchical_cluster(
     linkage = Linkage(linkage)
     n = d.n
     total = 2 * n - 1
-    dist = np.full((total, total), np.nan)
+    # Symmetric node-id matrix; inf marks the diagonal, merged-away nodes
+    # and nodes not created yet, so they never win the argmin. Among equal
+    # minima of a symmetric matrix the first in row-major order is the
+    # smallest (i, j) pair with i < j.
+    dist = np.full((total, total), np.inf)
     dist[:n, :n] = d.entries
+    np.fill_diagonal(dist, np.inf)
     size = np.zeros(total, dtype=int)
     size[:n] = 1
-    active = list(range(n))
+    alive = size > 0
     merges = []
     for step in range(n - 1):
-        best = None
-        for ai, i in enumerate(active):
-            for j in active[ai + 1 :]:
-                v = dist[i, j]
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-        height, i, j = best
         new = n + step
-        merges.append((i, j, float(height), int(size[i] + size[j])))
+        i, j = divmod(int(np.argmin(dist[:new])), total)
+        if dist[i, j] == np.inf:  # every live pair overflowed: take the first one
+            i, j = np.flatnonzero(alive)[:2].tolist()
+        merges.append((i, j, float(dist[i, j]), int(size[i] + size[j])))
         size[new] = size[i] + size[j]
-        active.remove(i)
-        active.remove(j)
-        for m in active:
-            if linkage is Linkage.SINGLE:
-                v = min(dist[i, m], dist[j, m])
-            elif linkage is Linkage.COMPLETE:
-                v = max(dist[i, m], dist[j, m])
-            else:
-                v = (size[i] * dist[i, m] + size[j] * dist[j, m]) / (size[i] + size[j])
-            dist[new, m] = v
-            dist[m, new] = v
-        active.append(new)
+        di, dj = dist[i, :new], dist[j, :new]
+        # Lance-Williams update. Between equal values where() keeps the
+        # first, as min() and max() do, so even the sign of a zero is fixed.
+        if linkage is Linkage.SINGLE:
+            row = np.where(dj < di, dj, di)
+        elif linkage is Linkage.COMPLETE:
+            row = np.where(dj > di, dj, di)
+        else:
+            row = (size[i] * di + size[j] * dj) / (size[i] + size[j])
+        row[[i, j]] = np.inf
+        dist[new, :new] = row
+        dist[:new, new] = row
+        dist[[i, j], :] = np.inf
+        dist[:, [i, j]] = np.inf
+        alive[[i, j]] = False
+        alive[new] = True
     return Dendrogram(d.labels, tuple(merges))
 
 

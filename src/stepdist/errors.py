@@ -50,7 +50,7 @@ class LabelMismatch(StepDistError):
     """Two labeled matrices do not share the same label sequence."""
 
 
-class InvalidCoordinate(StepDistError):
+class InvalidCoordinate(InputError):
     """Latitude/longitude outside the valid range."""
 
 

@@ -11,10 +11,8 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DuplicateStation, InvalidCoordinate, UnparseableCell
-from .matrices import LabeledSquareMatrix, MatrixKind
+from .matrices import LabeledSquareMatrix, MatrixKind, _pairwise
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -52,12 +50,7 @@ def geo_distance_matrix(stations: list[StationMetadata]) -> LabeledSquareMatrix:
     n = len(stations)
     if n < 2:
         raise ValueError(f"need at least 2 stations, got {n}")
-    m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = haversine_km(stations[i], stations[j])
-            m[i, j] = d
-            m[j, i] = d
+    m = _pairwise(n, lambda i: [haversine_km(stations[i], b) for b in stations[i + 1 :]])
     return LabeledSquareMatrix(tuple(ids), m, MatrixKind.DISTANCE)
 
 

@@ -4,8 +4,10 @@ Distance matrices hold exact pairwise L^p distances (unscaled or between
 normalised functions), the alignment matrix holds L^2 cosines, affinity
 matrices are affinely rescaled distances in [0, 1], and consistency
 matrices are element-wise differences of two affinity-like matrices.
-Every constructor computes each unordered pair once, so the outputs are
-exactly symmetric and independent of evaluation order.
+Every constructor computes each unordered pair once, row by row through
+``_pairwise``, so the outputs are exactly symmetric and independent of
+evaluation order. The step-function rows come from the batched kernels in
+``stepfn``, which reduce each pair exactly as the scalar calls do.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import LabelMismatch, ZeroFunction
-from .stepfn import StepFunction, inner_product, lp_distance, lp_norm, normalize
+from .stepfn import StepFunction, inner_product_row, lp_distance_row, lp_norm, normalize, pack
 
 _CLAMP_TOL = 1e-12
 
@@ -38,7 +40,8 @@ class LabeledSquareMatrix:
       distance:    zero diagonal, entries >= 0
       affinity:    unit diagonal, entries in [0, 1]
       alignment:   unit diagonal, entries in [-1, 1]
-      consistency: entries in [-1, 1]
+      consistency: entries in [-2, 1] (an alignment in [-1, 1] minus an
+                   affinity in [0, 1])
     """
 
     labels: tuple[str, ...]
@@ -69,8 +72,8 @@ class LabeledSquareMatrix:
             if np.any(diag != 1.0) or np.any(m < -1.0) or np.any(m > 1.0):
                 raise ValueError("alignment matrix needs unit diagonal and entries in [-1, 1]")
         else:
-            if np.any(m < -1.0) or np.any(m > 1.0):
-                raise ValueError("consistency matrix needs entries in [-1, 1]")
+            if np.any(m < -2.0) or np.any(m > 1.0):
+                raise ValueError("consistency matrix needs entries in [-2, 1]")
         m.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "entries", m)
@@ -89,17 +92,20 @@ def _default_labels(fs, labels) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _pairwise(fs, fill) -> np.ndarray:
-    n = len(fs)
+def _pairwise(n: int, row) -> np.ndarray:
+    """Symmetric n x n matrix with zero diagonal; row(i) gives entries (i, j), j > i."""
     if n < 2:
         raise ValueError(f"need at least 2 functions, got {n}")
     m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = fill(fs[i], fs[j])
-            m[i, j] = v
-            m[j, i] = v
+    for i in range(n - 1):
+        m[i, i + 1 :] = row(i)
+        m[i + 1 :, i] = m[i, i + 1 :]
     return m
+
+
+def _lp_distances(fs: list[StepFunction], p: float) -> np.ndarray:
+    packed = pack(fs)
+    return _pairwise(len(fs), lambda i: lp_distance_row(packed, i, p))
 
 
 def unscaled_distance_matrix(
@@ -107,8 +113,7 @@ def unscaled_distance_matrix(
 ) -> LabeledSquareMatrix:
     """Pairwise ||f_i - f_j||_p."""
     labels = _default_labels(fs, labels)
-    m = _pairwise(fs, lambda a, b: lp_distance(a, b, p))
-    return LabeledSquareMatrix(labels, m, MatrixKind.DISTANCE)
+    return LabeledSquareMatrix(labels, _lp_distances(fs, p), MatrixKind.DISTANCE)
 
 
 def normalized_distance_matrix(
@@ -122,8 +127,7 @@ def normalized_distance_matrix(
             hats.append(normalize(f, p))
         except ZeroFunction:
             raise ZeroFunction(f"series {label!r} embeds to the zero function") from None
-    m = _pairwise(hats, lambda a, b: lp_distance(a, b, p))
-    return LabeledSquareMatrix(labels, m, MatrixKind.DISTANCE)
+    return LabeledSquareMatrix(labels, _lp_distances(hats, p), MatrixKind.DISTANCE)
 
 
 def alignment_matrix(fs: list[StepFunction], labels=None) -> LabeledSquareMatrix:
@@ -135,23 +139,19 @@ def alignment_matrix(fs: list[StepFunction], labels=None) -> LabeledSquareMatrix
         if nrm == 0.0:
             raise ZeroFunction(f"series {label!r} embeds to the zero function")
         norms.append(nrm)
-    n = len(fs)
-    if n < 2:
-        raise ValueError(f"need at least 2 functions, got {n}")
-    m = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = inner_product(fs[i], fs[j]) / (norms[i] * norms[j])
-            if c > 1.0:
-                if c > 1.0 + _CLAMP_TOL:
-                    raise ValueError(f"cosine {c} exceeds 1 beyond rounding tolerance")
-                c = 1.0
-            elif c < -1.0:
-                if c < -1.0 - _CLAMP_TOL:
-                    raise ValueError(f"cosine {c} below -1 beyond rounding tolerance")
-                c = -1.0
-            m[i, j] = c
-            m[j, i] = c
+    norms = np.asarray(norms)
+    packed = pack(fs)
+
+    def cosines(i: int) -> np.ndarray:
+        c = np.asarray(inner_product_row(packed, i)) / (norms[i] * norms[i + 1 :])
+        if np.any(c > 1.0 + _CLAMP_TOL):
+            raise ValueError(f"cosine {c.max()} exceeds 1 beyond rounding tolerance")
+        if np.any(c < -1.0 - _CLAMP_TOL):
+            raise ValueError(f"cosine {c.min()} below -1 beyond rounding tolerance")
+        return np.clip(c, -1.0, 1.0)
+
+    m = _pairwise(len(fs), cosines)
+    np.fill_diagonal(m, 1.0)
     return LabeledSquareMatrix(labels, m, MatrixKind.ALIGNMENT)
 
 

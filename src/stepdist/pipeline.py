@@ -37,6 +37,7 @@ from .geo import StationMetadata, geo_distance_matrix, read_stations_csv
 from .matrices import (
     LabeledSquareMatrix,
     MatrixKind,
+    _pairwise,
     alignment_matrix,
     consistency_matrix,
     matrix_norm,
@@ -277,11 +278,7 @@ def compare_metrics(config: PipelineConfig) -> dict:
     fs = [from_changepoints(ts, c, params.attribute) for ts, c in zip(series, cps)]
 
     def set_matrix(fn) -> LabeledSquareMatrix:
-        n = len(cps)
-        m = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                m[i, j] = m[j, i] = fn(cps[i], cps[j])
+        m = _pairwise(len(cps), lambda i: [fn(cps[i], c) for c in cps[i + 1 :]])
         return LabeledSquareMatrix(labels, m, MatrixKind.DISTANCE)
 
     matrices = {

@@ -110,58 +110,132 @@ def _require_same_domain(f: StepFunction, g: StepFunction) -> None:
         raise DomainMismatch(f"domains differ: H = {f.h} vs {g.h}")
 
 
-def _merged_values(f: StepFunction, g: StepFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Widths and per-cell values of f and g over the merged partition."""
-    edges = np.union1d(np.asarray(f.breakpoints), np.asarray(g.breakpoints))
-    left = edges[:-1]
-    vf = np.asarray(f.values)[np.searchsorted(f.breakpoints, left, side="right") - 1]
-    vg = np.asarray(g.values)[np.searchsorted(g.breakpoints, left, side="right") - 1]
-    return np.diff(edges), vf, vg
+@dataclass(frozen=True, eq=False)
+class PackedSteps:
+    """A collection of step functions on one domain [0, H] as padded arrays.
+
+    Row i of ``breakpoints`` holds the breakpoints of f_i followed by copies
+    of H, row i of ``values`` its values followed by zeros. Padding only
+    ever forms zero-width cells, which every reduction leaves out.
+    """
+
+    breakpoints: np.ndarray
+    values: np.ndarray
+    h: float
 
 
-def _power_sum(mags: np.ndarray, widths: np.ndarray, p: float) -> float:
-    """Exact sum of |v|^p * len over the cells; inf when it exceeds the float range."""
+def pack(fs) -> PackedSteps:
+    """Pack step functions that share one domain; raises DomainMismatch otherwise."""
+    if not fs:
+        raise ValueError("cannot pack an empty collection")
+    for g in fs[1:]:
+        _require_same_domain(fs[0], g)
+    h = fs[0].h
+    width = max(len(f.breakpoints) for f in fs)
+    bps = np.full((len(fs), width), h)
+    vals = np.zeros((len(fs), width))
+    for r, f in enumerate(fs):
+        bps[r, : len(f.breakpoints)] = f.breakpoints
+        vals[r, : len(f.values)] = f.values
+    return PackedSteps(bps, vals, h)
+
+
+def merged_cells(packed: PackedSteps, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Merged partitions of f_i with every f_j, j > i, flattened pair by pair.
+
+    Returns (widths, vf, vg, bounds). The cells of the pair (i, j) are the
+    entries bounds[j - i - 1] : bounds[j - i] of the three flat arrays, in
+    increasing x: exactly the cells between consecutive points of the union
+    of the two breakpoint sets, with f_i's value vf and f_j's value vg.
+    """
+    bps, vals = packed.breakpoints, packed.values
+    own, others = bps[i], bps[i + 1 :]
+    rows, width = others.shape
+    edges = np.empty((rows, 2 * width))
+    edges[:, :width] = own
+    edges[:, width:] = others
+    edges.sort(axis=1)
+    widths = np.diff(edges, axis=1)
+    cell_rows, k = np.nonzero(widths > 0.0)
+    # A kept cell starts at edge k, the last of its group of equal edges, so
+    # k + 1 edges lie at or left of it, in_f of them from f_i. Minus one,
+    # these counts index the intervals of f_i and f_j containing the cell.
+    in_f = np.searchsorted(own, edges[cell_rows, k], side="right")
+    bounds = np.searchsorted(cell_rows, np.arange(rows + 1))
+    return widths[cell_rows, k], vals[i][in_f - 1], vals[i + 1 + cell_rows, k - in_f], bounds
+
+
+def _groups(bounds: np.ndarray):
+    edges = bounds.tolist()
+    return zip(edges[:-1], edges[1:])
+
+
+def _power_terms(mags: np.ndarray, widths: np.ndarray, p: float) -> np.ndarray:
     with np.errstate(over="ignore"):
-        terms = mags * widths if p == 1.0 else mags**p * widths
+        return mags * widths if p == 1.0 else mags**p * widths
+
+
+def _fsum(terms: list[float]) -> float:
+    """Exact sum; inf when finite terms sum beyond the float range."""
     try:
-        return math.fsum(terms.tolist())
-    except OverflowError:  # finite terms whose sum overflows
+        return math.fsum(terms)
+    except OverflowError:
         return INF
 
 
-def _segment_norm(values: np.ndarray, widths: np.ndarray, h: float, p: float) -> float:
-    if p == INF:
-        return float(np.max(np.abs(values)))
+def _segment_norms(
+    values: np.ndarray, widths: np.ndarray, bounds: np.ndarray, h: float, p: float
+) -> list[float]:
+    """Normalised L^p norm of each group of cells bounds[k] : bounds[k + 1]."""
     mags = np.abs(values)
-    total = _power_sum(mags, widths, p) / h
-    if total == INF or total == 0.0:
-        # Unless every value is 0 (or one is inf), |v|^p overflowed or
-        # underflowed: factor out the largest magnitude and sum again.
-        scale = float(np.max(mags))
-        if 0.0 < scale < INF:
-            return scale * float((_power_sum(mags / scale, widths, p) / h) ** (1.0 / p))
-    return float(total ** (1.0 / p))
+    if p == INF:
+        return np.maximum.reduceat(mags, bounds[:-1]).tolist()
+    terms = _power_terms(mags, widths, p).tolist()
+    norms = []
+    for a, b in _groups(bounds):
+        total = _fsum(terms[a:b]) / h
+        if total == INF or total == 0.0:
+            # Unless every value is 0 (or one is inf), |v|^p overflowed or
+            # underflowed: factor out the largest magnitude and sum again.
+            scale = float(np.max(mags[a:b]))
+            if 0.0 < scale < INF:
+                rescaled = _fsum(_power_terms(mags[a:b] / scale, widths[a:b], p).tolist()) / h
+                norms.append(scale * float(rescaled ** (1.0 / p)))
+                continue
+        norms.append(float(total ** (1.0 / p)))
+    return norms
 
 
 def lp_norm(f: StepFunction, p: float) -> float:
     """Normalised L^p norm: ((1/H) * sum |v_i|^p * len_i)^(1/p); sup norm for p = inf."""
     p = _check_p(p)
-    return _segment_norm(np.asarray(f.values), np.diff(f.breakpoints), f.h, p)
+    bounds = np.array([0, len(f.values)])
+    return _segment_norms(np.asarray(f.values), np.diff(f.breakpoints), bounds, f.h, p)[0]
+
+
+def lp_distance_row(packed: PackedSteps, i: int, p: float) -> list[float]:
+    """||f_i - f_j||_p for every j > i, exact over each merged partition."""
+    p = _check_p(p)
+    widths, vf, vg, bounds = merged_cells(packed, i)
+    return _segment_norms(vf - vg, widths, bounds, packed.h, p)
+
+
+def inner_product_row(packed: PackedSteps, i: int) -> list[float]:
+    """<f_i, f_j> for every j > i, one exact sum per pair."""
+    widths, vf, vg, bounds = merged_cells(packed, i)
+    terms = (vf * vg * widths).tolist()
+    return [math.fsum(terms[a:b]) / packed.h for a, b in _groups(bounds)]
 
 
 def lp_distance(f: StepFunction, g: StepFunction, p: float) -> float:
     """L^p distance ||f - g||_p, exact over the merged breakpoint partition."""
     p = _check_p(p)
-    _require_same_domain(f, g)
-    widths, vf, vg = _merged_values(f, g)
-    return _segment_norm(vf - vg, widths, f.h, p)
+    return lp_distance_row(pack([f, g]), 0, p)[0]
 
 
 def inner_product(f: StepFunction, g: StepFunction) -> float:
     """L^2 inner product <f, g> = (1/H) * sum f_i * g_i * len_i."""
-    _require_same_domain(f, g)
-    widths, vf, vg = _merged_values(f, g)
-    return math.fsum((vf * vg * widths).tolist()) / f.h
+    return inner_product_row(pack([f, g]), 0)[0]
 
 
 def normalize(f: StepFunction, p: float) -> StepFunction:

@@ -166,3 +166,120 @@ def full_permutation_detector(
 
     recurse(0, n)
     return tuple(sorted(found))
+
+
+# --- The pairwise layer before row batching, kept verbatim -----------------
+# Per-pair merged partitions, one fsum per pair, and the O(N^3) pure-Python
+# agglomeration. The batched kernels and the vectorised linkage must agree
+# with these exactly.
+
+
+def _reference_merged_values(f: StepFunction, g: StepFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    edges = np.union1d(np.asarray(f.breakpoints), np.asarray(g.breakpoints))
+    left = edges[:-1]
+    vf = np.asarray(f.values)[np.searchsorted(f.breakpoints, left, side="right") - 1]
+    vg = np.asarray(g.values)[np.searchsorted(g.breakpoints, left, side="right") - 1]
+    return np.diff(edges), vf, vg
+
+
+def _reference_power_sum(mags: np.ndarray, widths: np.ndarray, p: float) -> float:
+    with np.errstate(over="ignore"):
+        terms = mags * widths if p == 1.0 else mags**p * widths
+    try:
+        return math.fsum(terms.tolist())
+    except OverflowError:
+        return math.inf
+
+
+def _reference_segment_norm(values: np.ndarray, widths: np.ndarray, h: float, p: float) -> float:
+    if p == math.inf:
+        return float(np.max(np.abs(values)))
+    mags = np.abs(values)
+    total = _reference_power_sum(mags, widths, p) / h
+    if total == math.inf or total == 0.0:
+        scale = float(np.max(mags))
+        if 0.0 < scale < math.inf:
+            return scale * float((_reference_power_sum(mags / scale, widths, p) / h) ** (1.0 / p))
+    return float(total ** (1.0 / p))
+
+
+def reference_lp_norm(f: StepFunction, p: float) -> float:
+    return _reference_segment_norm(np.asarray(f.values), np.diff(f.breakpoints), f.h, float(p))
+
+
+def reference_lp_distance(f: StepFunction, g: StepFunction, p: float) -> float:
+    widths, vf, vg = _reference_merged_values(f, g)
+    return _reference_segment_norm(vf - vg, widths, f.h, float(p))
+
+
+def reference_inner_product(f: StepFunction, g: StepFunction) -> float:
+    widths, vf, vg = _reference_merged_values(f, g)
+    return math.fsum((vf * vg * widths).tolist()) / f.h
+
+
+def reference_pairwise(fs, fill) -> np.ndarray:
+    n = len(fs)
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = fill(fs[i], fs[j])
+            m[i, j] = v
+            m[j, i] = v
+    return m
+
+
+def reference_alignment(fs) -> np.ndarray:
+    """Cosine matrix as the per-pair loop built it, clamping included."""
+    norms = [reference_lp_norm(f, 2.0) for f in fs]
+    n = len(fs)
+    m = np.ones((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = reference_inner_product(fs[i], fs[j]) / (norms[i] * norms[j])
+            if c > 1.0:
+                if c > 1.0 + 1e-12:
+                    raise ValueError(f"cosine {c} exceeds 1 beyond rounding tolerance")
+                c = 1.0
+            elif c < -1.0:
+                if c < -1.0 - 1e-12:
+                    raise ValueError(f"cosine {c} below -1 beyond rounding tolerance")
+                c = -1.0
+            m[i, j] = c
+            m[j, i] = c
+    return m
+
+
+def reference_hierarchical_cluster(entries: np.ndarray, linkage: str) -> tuple:
+    """Merges (i, j, height, size) of the per-pair agglomeration loop."""
+    n = entries.shape[0]
+    total = 2 * n - 1
+    dist = np.full((total, total), np.nan)
+    dist[:n, :n] = entries
+    size = np.zeros(total, dtype=int)
+    size[:n] = 1
+    active = list(range(n))
+    merges = []
+    for step in range(n - 1):
+        best = None
+        for ai, i in enumerate(active):
+            for j in active[ai + 1 :]:
+                v = dist[i, j]
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+        height, i, j = best
+        new = n + step
+        merges.append((i, j, float(height), int(size[i] + size[j])))
+        size[new] = size[i] + size[j]
+        active.remove(i)
+        active.remove(j)
+        for m in active:
+            if linkage == "single":
+                v = min(dist[i, m], dist[j, m])
+            elif linkage == "complete":
+                v = max(dist[i, m], dist[j, m])
+            else:
+                v = (size[i] * dist[i, m] + size[j] * dist[j, m]) / (size[i] + size[j])
+            dist[new, m] = v
+            dist[m, new] = v
+        active.append(new)
+    return tuple(merges)

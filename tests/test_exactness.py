@@ -1,0 +1,131 @@
+"""The batched pairwise layer against verbatim copies of the per-pair code.
+
+Row-batched distance and alignment matrices, the scalar L^p calls built on
+the same kernel, and the vectorised linkage must reproduce the per-pair
+loops of ``tests/helpers`` bit for bit (compared as raw bytes, so even
+the sign of a zero counts).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from stepdist import (
+    LabeledSquareMatrix,
+    Linkage,
+    MatrixKind,
+    StepFunction,
+    alignment_matrix,
+    hierarchical_cluster,
+    inner_product,
+    lp_distance,
+    lp_norm,
+    normalized_distance_matrix,
+    unscaled_distance_matrix,
+)
+
+from tests.helpers import (
+    random_step_function,
+    reference_alignment,
+    reference_hierarchical_cluster,
+    reference_inner_product,
+    reference_lp_distance,
+    reference_lp_norm,
+    reference_pairwise,
+)
+
+P_GRID = [1.0, 1.5, 2.0, 3.0, math.inf]
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def grid_step_function(rng, h, max_segments=6, scale=1.0) -> StepFunction:
+    """Breakpoints on a coarse grid, so pairs share many of them; levels include 0."""
+    k = int(rng.integers(1, max_segments + 1))
+    interior = np.sort(rng.choice(np.arange(1, 10), size=k - 1, replace=False)) * (h / 10.0)
+    values = rng.choice([-3.0, -1.0, 0.0, 0.5, 2.0, 4.25], size=k) * scale
+    if not np.any(values):
+        values[0] = scale
+    return StepFunction((0.0, *interior, h), tuple(values))
+
+
+def collections():
+    """Collections with mixed segment counts, shared breakpoints and duplicates."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for h in (1.0, 7.5):
+        fs = [random_step_function(rng, h=h, max_segments=9) for _ in range(9)]
+        fs += [grid_step_function(rng, h) for _ in range(9)]
+        fs += [fs[0], fs[12], StepFunction.constant(2.0, h)]
+        out.append(fs)
+    for scale in (1e200, 1e-200):  # |v|^2 overflows / underflows: the rescaled sum
+        out.append([grid_step_function(rng, 1.0, scale=scale) for _ in range(8)])
+    return out
+
+
+@pytest.mark.parametrize("p", P_GRID)
+def test_distance_matrices_match_per_pair_loop(p):
+    for fs in collections():
+        got = unscaled_distance_matrix(fs, p).entries
+        assert same_bits(got, reference_pairwise(fs, lambda a, b: reference_lp_distance(a, b, p)))
+        hats = [StepFunction(f.breakpoints, tuple(v / reference_lp_norm(f, p) for v in f.values)) for f in fs]
+        got = normalized_distance_matrix(fs, p).entries
+        assert same_bits(got, reference_pairwise(hats, lambda a, b: reference_lp_distance(a, b, p)))
+
+
+@pytest.mark.parametrize("p", P_GRID)
+def test_scalar_calls_match_per_pair_code(p):
+    for fs in collections():
+        for f in fs:
+            assert same_bits(lp_norm(f, p), reference_lp_norm(f, p))
+        for f, g in zip(fs, fs[1:] + fs[:1]):
+            assert same_bits(lp_distance(f, g, p), reference_lp_distance(f, g, p))
+
+
+def test_inner_products_match_per_pair_code():
+    for fs in collections()[:2]:
+        for f, g in zip(fs, fs[1:] + fs[:1]):
+            assert same_bits(inner_product(f, g), reference_inner_product(f, g))
+
+
+def test_rescale_fallback_is_exercised():
+    f = StepFunction((0.0, 0.5, 1.0), (1e200, -1e200))
+    g = StepFunction.constant(1e200, 1.0)
+    assert lp_distance(f, g, 2.0) == reference_lp_distance(f, g, 2.0) == 2e200 * math.sqrt(0.5)
+
+
+def test_alignment_matches_per_pair_loop():
+    for fs in collections()[:2]:
+        assert same_bits(alignment_matrix(fs).entries, reference_alignment(fs))
+
+
+def tied_matrix(rng, n) -> np.ndarray:
+    m = rng.integers(0, 4, (n, n)).astype(float)
+    m = np.triu(m, 1)
+    return m + m.T
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+@pytest.mark.parametrize("linkage", list(Linkage))
+def test_linkage_matches_per_pair_loop_on_ties(n, linkage):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        m = tied_matrix(rng, n)
+        d = LabeledSquareMatrix(tuple(f"s{i}" for i in range(n)), m, MatrixKind.DISTANCE)
+        got = hierarchical_cluster(d, linkage).merges
+        want = reference_hierarchical_cluster(m, linkage.value)
+        assert got == want
+        assert same_bits([mg[2] for mg in got], [mg[2] for mg in want])
+
+
+def test_linkage_with_overflowing_average_matches_per_pair_loop():
+    m = np.full((4, 4), 1e308)
+    np.fill_diagonal(m, 0.0)
+    d = LabeledSquareMatrix(tuple("abcd"), m, MatrixKind.DISTANCE)
+    with np.errstate(over="ignore"):
+        want = reference_hierarchical_cluster(m, "average")
+        assert hierarchical_cluster(d, Linkage.AVERAGE).merges == want
+    assert want[-1][2] == math.inf

@@ -214,6 +214,31 @@ class TestCli:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("row", ["alpha,95,0.4", "alpha,nan,0.4"])
+    def test_invalid_coordinate_is_input_error(self, tmp_path, row):
+        stations = tmp_path / "stations.csv"
+        lines = FIXTURE_STATIONS.read_text().splitlines()
+        stations.write_text("\n".join([lines[0], row, *lines[2:]]) + "\n")
+        code = main(
+            ["run", "--series", str(FIXTURE_SERIES), "--metadata", str(stations), "--out", str(tmp_path / "o")]
+        )
+        assert code == 1
+
+    def test_negative_cosine_with_metadata(self, tmp_path):
+        # Opposite-signed levels give a cosine near -1, so alignment minus
+        # geographic affinity falls below -1.
+        rng = np.random.default_rng(0)
+        levels = [(5.0, 8.0), (-5.0, -8.0), (4.0, 1.0)]
+        cols = [np.concatenate([rng.normal(a, 1, 80), rng.normal(b, 1, 80)]) for a, b in levels]
+        src = tmp_path / "s.csv"
+        write_series_csv(src, ["a", "b", "c"], cols)
+        stations = tmp_path / "stations.csv"
+        stations.write_text("id,lat_deg,lon_deg\na,0.0,0.0\nb,0.0,0.5\nc,1.0,0.0\n")
+        out = tmp_path / "o"
+        assert main(["run", "--series", str(src), "--metadata", str(stations), "--out", str(out)]) == 0
+        cons = read_matrix_csv(out / "consistency_alignment.csv", MatrixKind.CONSISTENCY)
+        assert cons.entries.min() < -1.0
+
     def test_missing_required_option_is_config_error(self, tmp_path):
         assert main(["run", "--out", str(tmp_path / "o")]) == 2
 
