@@ -15,6 +15,12 @@ ones left could no longer do so. Every decision equals that of the full
 test with all ``permutations`` rows; the exact p-value of a window that
 stops early is not computed.
 
+Each window is scaled by the power of two that brings its largest
+magnitude into [0.5, 1) before it is scanned. Both statistics are
+scale-invariant and the scaling is exact, so decisions on ordinary data
+are unchanged, while sums of squares no longer overflow or underflow at
+extreme magnitudes.
+
 Everything is deterministic: the permutation stream for a window is
 derived from ``(seed, window start, window end)``, so results do not
 depend on recursion order and are reproducible bit-for-bit.
@@ -240,6 +246,10 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         if hi - lo < 2 * ms:
             return
         w = x[lo:hi]
+        top = np.abs(w).max()
+        if top > 0.0:
+            # Exact power-of-two scaling: max|w| in [0.5, 1) (see module docstring).
+            w = np.ldexp(w, -np.frexp(top)[1])
         profile = _scan_profile(w[np.newaxis, :], ms, params.attribute)[0]
         best = int(np.argmax(profile))  # first occurrence: smallest split on ties
         if significant(w, lo, hi, profile[best]):

@@ -23,36 +23,37 @@ from .errors import InputError, StepDistError
 from .pipeline import PipelineConfig, compare_metrics, run_analysis
 from .synthetic import SUITE_SEED, export_suite
 
-_CONFIG_KEYS = {
-    "attribute",
-    "p",
-    "significance",
-    "min-segment",
-    "permutations",
-    "linkage",
-    "k",
-    "seed",
-    "series",
-    "metadata",
-    "out",
+
+def _parse_p(text: str) -> float:
+    if text.strip().lower() in ("inf", "infinity"):
+        return math.inf
+    return float(text)
+
+
+def _parse_k(text: str) -> int | None:
+    return None if text.strip().lower() in ("auto", "") else int(text)
+
+
+# Every option: its config key, which is also its flag's argparse dest,
+# mapped to the PipelineConfig field it sets and the parser of its text.
+# Unset options keep the PipelineConfig defaults.
+_OPTIONS = {
+    "attribute": ("attribute", lambda text: Attribute(text.lower())),
+    "p": ("p", _parse_p),
+    "significance": ("significance", float),
+    "min_segment": ("min_segment", int),
+    "permutations": ("permutations", int),
+    "linkage": ("linkage", lambda text: Linkage(text.lower())),
+    "k": ("k", _parse_k),
+    "seed": ("seed", int),
+    "series": ("series_path", str),
+    "metadata": ("metadata_path", str),
+    "out": ("out_dir", str),
 }
 
-_DEFAULTS = {
-    "attribute": "mean",
-    "p": "1",
-    "significance": "0.05",
-    "min-segment": "30",
-    "permutations": "199",
-    "linkage": "average",
-    "k": "auto",
-    "seed": "0",
-    "series": None,
-    "metadata": None,
-    "out": None,
-}
 
-
-def _read_config_file(path) -> dict[str, str]:
+def _read_config_file(path, keys) -> dict[str, str]:
+    """Key = value lines of a config file; ``-`` and ``_`` in keys are interchangeable."""
     values: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -62,53 +63,22 @@ def _read_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("_", "-")
-            if key not in _CONFIG_KEYS:
+            name = key.replace("-", "_")
+            if name not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value
+            values[name] = value
     return values
 
 
-def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
-    for flag, key in [
-        ("attribute", "attribute"),
-        ("p", "p"),
-        ("significance", "significance"),
-        ("min_segment", "min-segment"),
-        ("permutations", "permutations"),
-        ("linkage", "linkage"),
-        ("k", "k"),
-        ("seed", "seed"),
-        ("series", "series"),
-        ("metadata", "metadata"),
-        ("out", "out"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            merged[key] = value
-    k = None if str(merged["k"]).strip().lower() in ("auto", "") else int(merged["k"])
-    return PipelineConfig(
-        attribute=Attribute(str(merged["attribute"]).lower()),
-        p=_parse_p(str(merged["p"])),
-        significance=float(merged["significance"]),
-        min_segment=int(merged["min-segment"]),
-        permutations=int(merged["permutations"]),
-        linkage=Linkage(str(merged["linkage"]).lower()),
-        k=k,
-        seed=int(merged["seed"]),
-        series_path=merged["series"],
-        metadata_path=merged["metadata"],
-        out_dir=merged["out"],
-    )
+    """Config file values, overridden by explicit flags, over the PipelineConfig defaults.
+
+    A config key is accepted exactly when the subcommand has that flag.
+    """
+    keys = [key for key in _OPTIONS if hasattr(args, key)]
+    values = _read_config_file(args.config, keys) if args.config else {}
+    values.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    return PipelineConfig(**{_OPTIONS[key][0]: _OPTIONS[key][1](text) for key, text in values.items()})
 
 
 def _add_common_options(sub: argparse.ArgumentParser) -> None:
@@ -154,11 +124,7 @@ def main(argv: list[str] | None = None) -> int:
             export_suite(args.out, args.seed)
             return 0
         config = _build_config(args)
-        if config.out_dir is None:
-            raise ValueError("an output directory is required (--out or config 'out')")
         if args.command == "run":
-            if config.series_path is None:
-                raise ValueError("'run' requires a series CSV (--series or config 'series')")
             run_analysis(config)
         else:
             compare_metrics(config)

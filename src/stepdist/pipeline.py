@@ -18,7 +18,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ from .matrices import (
     write_matrix_csv,
 )
 from .set_metrics import hausdorff, mj_semi_metric, modified_hausdorff
-from .stepfn import from_changepoints, lp_norm
+from .stepfn import embed, from_changepoints, lp_norm
 from .synthetic import benchmark_suite
 
 log = logging.getLogger(__name__)
@@ -59,26 +59,20 @@ _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
 class PipelineConfig:
     """Everything a pipeline run depends on."""
 
-    attribute: Attribute = Attribute.MEAN
+    attribute: Attribute = DetectionParams.attribute
     p: float = 1.0
-    significance: float = 0.05
-    min_segment: int = 30
-    permutations: int = 199
+    significance: float = DetectionParams.significance
+    min_segment: int = DetectionParams.min_segment
+    permutations: int = DetectionParams.permutations
     linkage: Linkage = Linkage.AVERAGE
     k: int | None = None  # None selects k per matrix by eigengap
-    seed: int = 0
+    seed: int = DetectionParams.seed
     series_path: str | None = None
     metadata_path: str | None = None
     out_dir: str | None = None
 
     def detection_params(self) -> DetectionParams:
-        return DetectionParams(
-            attribute=self.attribute,
-            significance=self.significance,
-            min_segment=self.min_segment,
-            permutations=self.permutations,
-            seed=self.seed,
-        )
+        return DetectionParams(**{f.name: getattr(self, f.name) for f in fields(DetectionParams)})
 
 
 def ingest(
@@ -199,13 +193,13 @@ def run_analysis(config: PipelineConfig) -> dict:
     summary JSON into ``config.out_dir``; returns the summary dict.
     """
     if config.series_path is None or config.out_dir is None:
-        raise ValueError("run_analysis requires series_path and out_dir")
+        raise ValueError("a series CSV (series_path) and an output directory (out_dir) are required")
     series, stations = ingest(config.series_path, config.metadata_path)
     if len(series) < 2:
         raise InputError(f"pairwise analysis needs >= 2 series, got {len(series)}")
     params = config.detection_params()
     labels = tuple(ts.id for ts in series)
-    fs = [from_changepoints(ts, detect_change_points(ts, params), params.attribute) for ts in series]
+    fs = [embed(ts, params) for ts in series]
 
     d_us = unscaled_distance_matrix(fs, config.p, labels)
     d_norm = normalized_distance_matrix(fs, config.p, labels)
@@ -262,7 +256,7 @@ def compare_metrics(config: PipelineConfig) -> dict:
     benchmark suite is analysed.
     """
     if config.out_dir is None:
-        raise ValueError("compare_metrics requires out_dir")
+        raise ValueError("an output directory (out_dir) is required")
     if config.series_path is not None:
         series, _ = ingest(config.series_path)
     else:

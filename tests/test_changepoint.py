@@ -77,7 +77,18 @@ class TestDetect:
         params = DetectionParams()
         assert detect_change_points(ts, params) == detect_change_points(shifted, params)
 
-    @pytest.mark.parametrize("factor", [2.0, -1.0, 3.0])
+    @pytest.mark.parametrize("factor", [2.0, -1.0, 3.0, 1e160, 1e-160, 1e300, 1e-300])
+    def test_mean_detection_scale_invariant(self, factor):
+        # Sums of squares of the raw values overflow at 1e160 and lose all
+        # precision at 1e-160.
+        rng = np.random.default_rng(0)
+        values = np.concatenate([rng.normal(0, 1, 200), rng.normal(5, 1, 200)])
+        params = DetectionParams()
+        cps = detect_change_points(TimeSeries("m", values), params)
+        assert cps.points == (200,)
+        assert detect_change_points(TimeSeries("m", values * factor), params) == cps
+
+    @pytest.mark.parametrize("factor", [2.0, -1.0, 3.0, 1e160, 1e-160, 1e300, 1e-300])
     def test_variance_detection_scale_invariant(self, factor):
         rng = np.random.default_rng(31)
         values = np.concatenate([rng.normal(0, 1, 150), rng.normal(0, 4, 150)])

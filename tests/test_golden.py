@@ -1,8 +1,9 @@
 """Golden output digests: every output byte of three CLI runs is pinned.
 
 The sha256 of each file written by ``run`` on the geographic fixture
-(with and without station metadata) and by ``compare-metrics`` on the
-committed suite is stored in ``data/golden_digests.json``. A change that
+(with and without station metadata, and with every option set to a
+non-default value) and by ``compare-metrics`` on the committed suite is
+stored in ``data/golden_digests.json``. A change that
 claims byte-identical outputs proves it here. The digests were recorded
 with Python 3.11 and numpy 2.4 (OpenBLAS); the spectral cluster files
 depend on the LAPACK eigenvectors, so another numpy build may need a
@@ -29,12 +30,60 @@ RUNS = {
         str(DATA / "geo_fixture_stations.csv"),
     ],
     "compare_metrics": ["compare-metrics"],
+    "run_every_option": [
+        "run",
+        "--series",
+        str(DATA / "geo_fixture_series.csv"),
+        "--metadata",
+        str(DATA / "geo_fixture_stations.csv"),
+        "--attribute",
+        "variance",
+        "--p",
+        "inf",
+        "--significance",
+        "0.1",
+        "--min-segment",
+        "25",
+        "--permutations",
+        "99",
+        "--linkage",
+        "complete",
+        "--k",
+        "2",
+        "--seed",
+        "7",
+    ],
 }
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_outputs_match_golden_digests(tmp_path, name):
     out = tmp_path / name
     assert main([*RUNS[name], "--out", str(out)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
-    assert got == GOLDEN[name]
+    assert _digests(out) == GOLDEN[name]
+
+
+def test_config_file_matches_flags(tmp_path):
+    # The every-option run again, with each setting taken from a config
+    # file: an underscore key and mixed-case values.
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"series = {DATA / 'geo_fixture_series.csv'}\n"
+        f"metadata = {DATA / 'geo_fixture_stations.csv'}\n"
+        "attribute = Variance\n"
+        "p = Inf\n"
+        "significance = 0.1\n"
+        "min_segment = 25\n"
+        "permutations = 99\n"
+        "linkage = Complete\n"
+        "k = 2\n"
+        "seed = 7\n"
+        f"out = {out}\n"
+    )
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert _digests(out) == GOLDEN["run_every_option"]

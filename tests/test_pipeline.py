@@ -266,6 +266,22 @@ class TestCli:
         cfg.write_text("wibble = 3\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_metadata_config_key_rejected_by_compare_metrics(self, tmp_path):
+        # compare-metrics has no --metadata flag, so the config key is unknown.
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(f"metadata = {tmp_path / 'nope.csv'}\n")
+        assert main(["compare-metrics", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_config_k_auto_matches_default(self, tmp_path):
+        src = tmp_path / "s.csv"
+        three_series_csv(src)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = Auto\n")
+        assert main(["run", "--config", str(cfg), "--series", str(src), "--out", str(tmp_path / "a")]) == 0
+        assert main(["run", "--series", str(src), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "summary.json").read_bytes() == (tmp_path / "b" / "summary.json").read_bytes()
+
     def test_export_suite(self, tmp_path):
         out = tmp_path / "suite"
         assert main(["export-suite", "--out", str(out)]) == 0
