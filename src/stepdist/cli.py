@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 
 from .changepoint import Attribute
@@ -22,12 +21,6 @@ from .clustering import Linkage
 from .errors import InputError, StepDistError
 from .pipeline import PipelineConfig, compare_metrics, run_analysis
 from .synthetic import SUITE_SEED, export_suite
-
-
-def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
 
 
 def _parse_k(text: str) -> int | None:
@@ -39,7 +32,7 @@ def _parse_k(text: str) -> int | None:
 # Unset options keep the PipelineConfig defaults.
 _OPTIONS = {
     "attribute": ("attribute", lambda text: Attribute(text.lower())),
-    "p": ("p", _parse_p),
+    "p": ("p", float),
     "significance": ("significance", float),
     "min_segment": ("min_segment", int),
     "permutations": ("permutations", int),
@@ -129,10 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             compare_metrics(config)
         return 0
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (StepDistError, ValueError) as exc:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .changepoint import Attribute, DetectionParams, TimeSeries, detect_change_points
+from .changepoint import Attribute, ChangePointSet, DetectionParams, TimeSeries, detect_change_points
 from .clustering import (
     ClusterAssignment,
     Linkage,
@@ -32,7 +32,7 @@ from .clustering import (
     spectral_cluster,
     to_newick,
 )
-from .errors import AllMissingColumn, EmptySet, IdMismatch, InputError, UnparseableCell
+from .errors import AllMissingColumn, BadK, EmptySet, IdMismatch, InputError, UnparseableCell
 from .geo import StationMetadata, geo_distance_matrix, read_stations_csv
 from .matrices import (
     LabeledSquareMatrix,
@@ -47,7 +47,7 @@ from .matrices import (
     write_matrix_csv,
 )
 from .set_metrics import hausdorff, mj_semi_metric, modified_hausdorff
-from .stepfn import embed, from_changepoints, lp_norm
+from .stepfn import StepFunction, _check_p, from_changepoints, lp_norm
 from .synthetic import benchmark_suite
 
 log = logging.getLogger(__name__)
@@ -70,6 +70,13 @@ class PipelineConfig:
     series_path: str | None = None
     metadata_path: str | None = None
     out_dir: str | None = None
+
+    def __post_init__(self):
+        """Reject bad settings before any input is read."""
+        _check_p(self.p)
+        if self.k is not None and self.k < 1:
+            raise BadK(f"k must be >= 1, got {self.k}")
+        self.detection_params()
 
     def detection_params(self) -> DetectionParams:
         return DetectionParams(**{f.name: getattr(self, f.name) for f in fields(DetectionParams)})
@@ -98,15 +105,13 @@ def ingest(
     if len(set(ids)) != len(ids):
         raise IdMismatch(f"{series_csv}: duplicate series ids in header")
     n_cols = len(ids)
-    columns: list[list[float | None]] = [[] for _ in range(n_cols)]
+    table = np.full((len(rows) - 1, n_cols), np.nan)  # nan marks a missing cell; stored cells are finite
     for r, row in enumerate(rows[1:], start=2):
         if len(row) > n_cols + 1:
             raise UnparseableCell(f"{series_csv}: row {r} has {len(row)} cells, expected {n_cols + 1}")
-        cells = row[1:] + [""] * (n_cols + 1 - len(row))
-        for j, tok in enumerate(cells):
+        for j, tok in enumerate(row[1:]):
             tok = tok.strip()
             if tok.lower() in _MISSING_TOKENS:
-                columns[j].append(None)
                 continue
             try:
                 value = float(tok)
@@ -116,19 +121,16 @@ def ingest(
                 raise UnparseableCell(
                     f"{series_csv}: row {r}, column {ids[j]!r}: cannot parse {tok!r} as a finite number"
                 )
-            columns[j].append(value)
-    series = []
-    for sid, col in zip(ids, columns):
-        first = next((v for v in col if v is not None), None)
-        if first is None:
-            raise AllMissingColumn(f"{series_csv}: column {sid!r} has no observations")
-        filled = []
-        last = first  # back-fill a missing leading stretch
-        for v in col:
-            if v is not None:
-                last = v
-            filled.append(last)
-        series.append(TimeSeries(sid, np.asarray(filled)))
+            table[r - 2, j] = value
+    present = ~np.isnan(table)
+    observed = present.any(axis=0)
+    if not observed.all():
+        raise AllMissingColumn(f"{series_csv}: column {ids[int(np.argmin(observed))]!r} has no observations")
+    # Each cell takes the row of its column's latest observation; rows before
+    # the first observation take the first one (a back-filled leading stretch).
+    source = np.where(present, np.arange(len(table))[:, None], present.argmax(axis=0))
+    filled = np.take_along_axis(table, np.maximum.accumulate(source, axis=0), axis=0)
+    series = [TimeSeries(sid, filled[:, j]) for j, sid in enumerate(ids)]
     stations = None
     if metadata_csv is not None:
         by_id = {s.id: s for s in read_stations_csv(metadata_csv)}
@@ -172,18 +174,28 @@ def _write_assignment_csv(assignment: ClusterAssignment, path) -> None:
             w.writerow([label, c])
 
 
-def _emit_matrix_products(matrices: dict[str, LabeledSquareMatrix], config: PipelineConfig, out: Path) -> dict:
-    chosen_k = {}
+def _embed_all(
+    series: list[TimeSeries], config: PipelineConfig
+) -> tuple[tuple[str, ...], list[ChangePointSet], list[StepFunction]]:
+    """Labels, change points and step-function embedding of every series."""
+    if len(series) < 2:
+        raise InputError(f"pairwise analysis needs >= 2 series, got {len(series)}")
+    params = config.detection_params()
+    labels = tuple(ts.id for ts in series)
+    cps = [detect_change_points(ts, params) for ts in series]
+    fs = [from_changepoints(ts, c, params.attribute) for ts, c in zip(series, cps)]
+    return labels, cps, fs
+
+
+def _write_matrices(matrices: dict[str, LabeledSquareMatrix], config: PipelineConfig) -> Path:
+    """Write each matrix's CSV and Newick dendrogram into the output directory, and return it."""
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for name, m in matrices.items():
         write_matrix_csv(m, out / f"{name}.csv")
         dendro = hierarchical_cluster(_as_dissimilarity(m), config.linkage)
         (out / f"{name}_dendrogram.nwk").write_text(to_newick(dendro) + "\n")
-        affinity = _as_affinity_like(m)
-        k = config.k if config.k is not None else eigengap_k(affinity)
-        assignment = spectral_cluster(affinity, k, config.seed)
-        _write_assignment_csv(assignment, out / f"{name}_clusters.csv")
-        chosen_k[name] = k
-    return chosen_k
+    return out
 
 
 def run_analysis(config: PipelineConfig) -> dict:
@@ -192,14 +204,12 @@ def run_analysis(config: PipelineConfig) -> dict:
     Writes matrix CSVs, Newick dendrograms, cluster assignment CSVs and a
     summary JSON into ``config.out_dir``; returns the summary dict.
     """
-    if config.series_path is None or config.out_dir is None:
+    if config.series_path is None or not config.out_dir:
         raise ValueError("a series CSV (series_path) and an output directory (out_dir) are required")
     series, stations = ingest(config.series_path, config.metadata_path)
-    if len(series) < 2:
-        raise InputError(f"pairwise analysis needs >= 2 series, got {len(series)}")
-    params = config.detection_params()
-    labels = tuple(ts.id for ts in series)
-    fs = [embed(ts, params) for ts in series]
+    if config.k is not None and config.k > len(series):
+        raise BadK(f"k must be in 1..{len(series)}, got {config.k}")
+    labels, _, fs = _embed_all(series, config)
 
     d_us = unscaled_distance_matrix(fs, config.p, labels)
     d_norm = normalized_distance_matrix(fs, config.p, labels)
@@ -225,17 +235,18 @@ def run_analysis(config: PipelineConfig) -> dict:
         matrices.update(cons)
         consistency_norms = {name: matrix_norm(m) for name, m in cons.items()}
 
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    chosen_k = _emit_matrix_products(matrices, config, out)
+    out = _write_matrices(matrices, config)
+    chosen_k = {}
+    for name, m in matrices.items():
+        affinity = _as_affinity_like(m)
+        k = config.k if config.k is not None else eigengap_k(affinity)
+        assignment = spectral_cluster(affinity, k, config.seed)
+        _write_assignment_csv(assignment, out / f"{name}_clusters.csv")
+        chosen_k[name] = k
     summary = {
-        "attribute": config.attribute.value,
+        **{f.name: getattr(config, f.name) for f in fields(DetectionParams)},
         "p": "inf" if config.p == float("inf") else config.p,
-        "significance": config.significance,
-        "min_segment": config.min_segment,
-        "permutations": config.permutations,
         "linkage": config.linkage.value,
-        "seed": config.seed,
         "labels": list(labels),
         "magnitudes": {label: lp_norm(f, config.p) for label, f in zip(labels, fs)},
         "spectral_k": chosen_k,
@@ -255,21 +266,16 @@ def compare_metrics(config: PipelineConfig) -> dict:
     with one dendrogram each. Without a series path, the committed
     benchmark suite is analysed.
     """
-    if config.out_dir is None:
+    if not config.out_dir:
         raise ValueError("an output directory (out_dir) is required")
     if config.series_path is not None:
         series, _ = ingest(config.series_path)
     else:
         series = benchmark_suite()  # the committed suite; config.seed drives detection only
-    if len(series) < 2:
-        raise InputError(f"pairwise analysis needs >= 2 series, got {len(series)}")
-    params = config.detection_params()
-    labels = tuple(ts.id for ts in series)
-    cps = [detect_change_points(ts, params) for ts in series]
+    labels, cps, fs = _embed_all(series, config)
     empty = [label for label, c in zip(labels, cps) if len(c) == 0]
     if empty:
         raise EmptySet(f"series without change points (set metrics undefined): {empty}")
-    fs = [from_changepoints(ts, c, params.attribute) for ts, c in zip(series, cps)]
 
     def set_matrix(fn) -> LabeledSquareMatrix:
         m = _pairwise(len(cps), lambda i: [fn(cps[i], c) for c in cps[i + 1 :]])
@@ -281,10 +287,5 @@ def compare_metrics(config: PipelineConfig) -> dict:
         "mj1": set_matrix(lambda a, b: mj_semi_metric(a, b, 1.0)),
         "dp": unscaled_distance_matrix(fs, config.p, labels),
     }
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, m in matrices.items():
-        write_matrix_csv(m, out / f"{name}.csv")
-        dendro = hierarchical_cluster(m, config.linkage)
-        (out / f"{name}_dendrogram.nwk").write_text(to_newick(dendro) + "\n")
+    _write_matrices(matrices, config)
     return {"labels": list(labels), "matrices": sorted(matrices)}

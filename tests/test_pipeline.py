@@ -57,6 +57,13 @@ class TestIngest:
         series, _ = ingest(p)
         assert list(series[0].values) == [2.0, 2.0, 3.0]
 
+    def test_columnwise_fill(self, tmp_path):
+        # Each column has its own leading gap; row 2 is short, row 4 has trailing gaps.
+        p = tmp_path / "s.csv"
+        p.write_text("t,x,y\n0,,1\n1,2,\n2\n3,5,6\n4,,\n")
+        series, _ = ingest(p)
+        assert [list(ts.values) for ts in series] == [[2.0, 2.0, 2.0, 5.0, 5.0], [1.0, 1.0, 1.0, 6.0, 6.0]]
+
     def test_shape_contract(self, tmp_path):
         p = tmp_path / "s.csv"
         three_series_csv(p)
@@ -75,6 +82,12 @@ class TestIngest:
         p = tmp_path / "s.csv"
         p.write_text("t,x,y\n0,1,\n1,2,\n")
         with pytest.raises(AllMissingColumn, match="y"):
+            ingest(p)
+
+    def test_first_all_missing_column_named(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("t,x,y,z\n0,1,,\n1,2,,na\n")
+        with pytest.raises(AllMissingColumn, match="'y'"):
             ingest(p)
 
     def test_series_without_station_fatal(self, tmp_path):
@@ -247,6 +260,42 @@ class TestCli:
         three_series_csv(src)
         code = main(["run", "--series", str(src), "--out", str(tmp_path / "o"), "--p", "0.5"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["run", "compare-metrics"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_empty_out_is_config_error(self, tmp_path, monkeypatch, command, via_config):
+        # Path("") is the working directory, so an empty out must not be used.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = [command, "--series", str(FIXTURE_SERIES)]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("out =\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--out", ""]
+        assert main(argv) == 2
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--k", "0"],
+            ["run", "--k", "99"],
+            ["run", "--p", "0.5"],
+            ["run", "--significance", "0.001"],
+            ["compare-metrics", "--k", "0"],
+        ],
+    )
+    def test_bad_setting_rejected_before_detection(self, tmp_path, monkeypatch, argv):
+        calls = []
+        for module in ("stepdist.pipeline", "stepdist.stepfn"):  # stepfn.embed detects through its own binding
+            monkeypatch.setattr(f"{module}.detect_change_points", lambda *args: calls.append(args))
+        out = tmp_path / "o"
+        assert main([*argv, "--series", str(FIXTURE_SERIES), "--out", str(out)]) == 2
+        assert calls == []
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         src = tmp_path / "s.csv"
