@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             compare_metrics(config)
         return 0
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:  # UnicodeDecodeError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (StepDistError, ValueError) as exc:

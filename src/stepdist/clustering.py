@@ -10,13 +10,14 @@ k-means with farthest-point initialisation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import BadK, DisconnectedDegenerate
-from .matrices import LabeledSquareMatrix, MatrixKind
+from .matrices import LabeledSquareMatrix, MatrixKind, to_affinity
 
 
 class Linkage(str, Enum):
@@ -56,11 +57,11 @@ class ClusterAssignment:
         if used != set(range(self.k)):
             raise ValueError(f"every cluster 0..{self.k - 1} must be nonempty, got {sorted(used)}")
 
-    def clusters(self) -> list[set[str]]:
-        out: list[set[str]] = [set() for _ in range(self.k)]
-        for label, c in zip(self.labels, self.assignments):
-            out[c].add(label)
-        return out
+
+def _numbered(labels: tuple[str, ...], keys, k: int) -> ClusterAssignment:
+    """Assignment that numbers the groups of equal keys by first appearance in label order."""
+    order: dict = {}
+    return ClusterAssignment(labels, tuple(order.setdefault(key, len(order)) for key in keys), k)
 
 
 def hierarchical_cluster(
@@ -124,26 +125,22 @@ def cut_dendrogram(d: Dendrogram, k: int) -> ClusterAssignment:
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     for t, (i, j, _, _) in enumerate(d.merges[: n - k]):
         members[n + t] = members.pop(i) + members.pop(j)
-    leaf_to_cluster: dict[int, int] = {}
-    for node, leaves in members.items():
-        root = min(leaves)
-        for leaf in leaves:
-            leaf_to_cluster[leaf] = root
-    order: dict[int, int] = {}
-    assignments = []
-    for leaf in range(n):
-        root = leaf_to_cluster[leaf]
-        if root not in order:
-            order[root] = len(order)
-        assignments.append(order[root])
-    return ClusterAssignment(d.labels, tuple(assignments), k)
+    node_of = {leaf: node for node, leaves in members.items() for leaf in leaves}
+    return _numbered(d.labels, [node_of[leaf] for leaf in range(n)], k)
+
+
+def _newick_label(label: str) -> str:
+    """Newick text of a label: quoted, with ' doubled, if it holds whitespace or any of ()[]':;,"""
+    if re.search(r"[\s()\[\]':;,]", label):
+        return "'" + label.replace("'", "''") + "'"
+    return label
 
 
 def to_newick(d: Dendrogram) -> str:
-    """Newick text with merge heights rendered as branch lengths."""
+    """Newick text with merge heights rendered as branch lengths and labels quoted where needed."""
     n = len(d.labels)
     height = {i: 0.0 for i in range(n)}
-    text = {i: d.labels[i] for i in range(n)}
+    text = {i: _newick_label(d.labels[i]) for i in range(n)}
     for t, (i, j, h, _) in enumerate(d.merges):
         node = n + t
         height[node] = h
@@ -151,16 +148,6 @@ def to_newick(d: Dendrogram) -> str:
         right = f"{text[j]}:{max(h - height[j], 0.0):.10g}"
         text[node] = f"({left},{right})"
     return text[2 * n - 2] + ";"
-
-
-def _laplacian_input(a: LabeledSquareMatrix) -> np.ndarray:
-    if a.kind is MatrixKind.AFFINITY:
-        return a.entries.copy()
-    if a.kind is MatrixKind.ALIGNMENT:
-        w = (a.entries + 1.0) / 2.0
-        np.fill_diagonal(w, 1.0)
-        return w
-    raise ValueError(f"spectral methods expect affinity or alignment, got {a.kind.value}")
 
 
 def _sym_laplacian(w: np.ndarray) -> np.ndarray:
@@ -209,11 +196,11 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300) -> tupl
 def spectral_cluster(a: LabeledSquareMatrix, k: int, seed: int = 0) -> ClusterAssignment:
     """Normalised-Laplacian spectral clustering into k groups.
 
-    Embeds into the k smallest eigenvectors of L_sym, row-normalises, and
+    Reads the affinity view (``to_affinity``) of any matrix kind. Embeds into the k smallest eigenvectors of L_sym, row-normalises, and
     picks the best of 10 seeded k-means restarts (farthest-point init);
     ties go to the lowest restart index. Deterministic for fixed inputs.
     """
-    w = _laplacian_input(a)
+    w = to_affinity(a).entries
     n = w.shape[0]
     if not 1 <= k <= n:
         raise BadK(f"k must be in 1..{n}, got {k}")
@@ -228,23 +215,18 @@ def spectral_cluster(a: LabeledSquareMatrix, k: int, seed: int = 0) -> ClusterAs
         labels, inertia = _lloyd(emb, centers)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
-    order: dict[int, int] = {}
-    assignments = []
-    for c in best_labels:
-        c = int(c)
-        if c not in order:
-            order[c] = len(order)
-        assignments.append(order[c])
-    return ClusterAssignment(a.labels, tuple(assignments), k)
+    return _numbered(a.labels, best_labels.tolist(), k)
 
 
 def eigengap_k(a: LabeledSquareMatrix, k_max: int | None = None) -> int:
     """Cluster count at the largest gap in the low Laplacian spectrum.
 
+    Reads the affinity view (``to_affinity``) of any matrix kind.
+
     Returns the k in 1..k_max maximising eigenvalue_{k+1} - eigenvalue_k
     (smallest k on ties); k_max defaults to min(10, n - 1).
     """
-    w = _laplacian_input(a)
+    w = to_affinity(a).entries
     n = w.shape[0]
     if k_max is None:
         k_max = min(10, n - 1)

@@ -54,7 +54,7 @@ class InvalidCoordinate(InputError):
     """Latitude/longitude outside the valid range."""
 
 
-class DuplicateStation(StepDistError):
+class DuplicateStation(InputError):
     """Two stations in one collection share an id."""
 
 

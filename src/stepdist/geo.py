@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DuplicateStation, InvalidCoordinate, UnparseableCell
@@ -41,12 +42,17 @@ def haversine_km(a: StationMetadata, b: StationMetadata) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(under)))
 
 
+def _unique_ids(stations: list[StationMetadata], where: str) -> list[str]:
+    ids = [s.id for s in stations]
+    dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
+    if dupes:
+        raise DuplicateStation(f"{where}duplicate station ids: {dupes}")
+    return ids
+
+
 def geo_distance_matrix(stations: list[StationMetadata]) -> LabeledSquareMatrix:
     """Pairwise haversine distances, labeled by station id."""
-    ids = [s.id for s in stations]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise DuplicateStation(f"duplicate station ids: {dupes}")
+    ids = _unique_ids(stations, "")
     n = len(stations)
     if n < 2:
         raise ValueError(f"need at least 2 stations, got {n}")
@@ -71,6 +77,7 @@ def read_stations_csv(path) -> list[StationMetadata]:
         except ValueError:
             raise UnparseableCell(f"{path}: malformed station row {row}") from None
         out.append(StationMetadata(row[0].strip(), lat, lon))
+    _unique_ids(out, f"{path}: ")
     return out
 
 

@@ -4,6 +4,8 @@ Distance matrices hold exact pairwise L^p distances (unscaled or between
 normalised functions), the alignment matrix holds L^2 cosines, affinity
 matrices are affinely rescaled distances in [0, 1], and consistency
 matrices are element-wise differences of two affinity-like matrices.
+``to_distance`` and ``to_affinity`` give every kind the distance and the
+affinity view that hierarchical and spectral clustering read.
 Every constructor computes each unordered pair once, row by row through
 ``_pairwise``, so the outputs are exactly symmetric and independent of
 evaluation order. The step-function rows come from the batched kernels in
@@ -155,20 +157,42 @@ def alignment_matrix(fs: list[StepFunction], labels=None) -> LabeledSquareMatrix
     return LabeledSquareMatrix(labels, m, MatrixKind.ALIGNMENT)
 
 
-def to_affinity(d: LabeledSquareMatrix) -> LabeledSquareMatrix:
-    """Affine rescale of a distance matrix: A = 1 - D / max(D).
+def to_distance(m: LabeledSquareMatrix) -> LabeledSquareMatrix:
+    """Distance view of any matrix kind, for hierarchical clustering.
 
-    The all-zero distance matrix maps to the all-ones affinity.
+    A distance is returned as is, an affinity or alignment M becomes
+    1 - M, and a consistency matrix C becomes |C| with a zero diagonal.
     """
-    if d.kind is not MatrixKind.DISTANCE:
-        raise ValueError(f"to_affinity expects a distance matrix, got {d.kind.value}")
-    top = float(d.entries.max())
-    if top == 0.0:
-        a = np.ones_like(d.entries)
+    if m.kind is MatrixKind.DISTANCE:
+        return m
+    if m.kind is MatrixKind.CONSISTENCY:
+        entries = np.abs(m.entries)
+        np.fill_diagonal(entries, 0.0)
     else:
-        a = 1.0 - d.entries / top
-        np.fill_diagonal(a, 1.0)
-    return LabeledSquareMatrix(d.labels, a, MatrixKind.AFFINITY)
+        entries = 1.0 - m.entries
+    return LabeledSquareMatrix(m.labels, entries, MatrixKind.DISTANCE)
+
+
+def to_affinity(m: LabeledSquareMatrix) -> LabeledSquareMatrix:
+    """Affinity view of any matrix kind, for spectral clustering.
+
+    An affinity is returned as is and an alignment W becomes (W + 1) / 2.
+    Any other kind is rescaled from its distance view D (``to_distance``)
+    as A = 1 - D / max(D); the all-zero distance maps to all ones.
+    """
+    if m.kind is MatrixKind.AFFINITY:
+        return m
+    if m.kind is MatrixKind.ALIGNMENT:
+        a = (m.entries + 1.0) / 2.0
+    else:
+        d = to_distance(m).entries
+        top = float(d.max())
+        if top == 0.0:
+            a = np.ones_like(d)
+        else:
+            a = 1.0 - d / top
+            np.fill_diagonal(a, 1.0)
+    return LabeledSquareMatrix(m.labels, a, MatrixKind.AFFINITY)
 
 
 def consistency_matrix(a: LabeledSquareMatrix, a_g: LabeledSquareMatrix) -> LabeledSquareMatrix:

@@ -43,6 +43,7 @@ from .matrices import (
     matrix_norm,
     normalized_distance_matrix,
     to_affinity,
+    to_distance,
     unscaled_distance_matrix,
     write_matrix_csv,
 )
@@ -144,28 +145,6 @@ def ingest(
     return series, stations
 
 
-def _as_dissimilarity(m: LabeledSquareMatrix) -> LabeledSquareMatrix:
-    """Distance-matrix view of any matrix kind, for hierarchical clustering.
-
-    Affinity-like matrices flip to 1 - A; consistency matrices use the
-    absolute disagreement |c_ij| with a zeroed diagonal.
-    """
-    if m.kind is MatrixKind.DISTANCE:
-        return m
-    if m.kind in (MatrixKind.AFFINITY, MatrixKind.ALIGNMENT):
-        return LabeledSquareMatrix(m.labels, 1.0 - m.entries, MatrixKind.DISTANCE)
-    entries = np.abs(m.entries)
-    np.fill_diagonal(entries, 0.0)
-    return LabeledSquareMatrix(m.labels, entries, MatrixKind.DISTANCE)
-
-
-def _as_affinity_like(m: LabeledSquareMatrix) -> LabeledSquareMatrix:
-    """Affinity or alignment view of any matrix kind, for spectral methods."""
-    if m.kind in (MatrixKind.AFFINITY, MatrixKind.ALIGNMENT):
-        return m
-    return to_affinity(_as_dissimilarity(m))
-
-
 def _write_assignment_csv(assignment: ClusterAssignment, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -193,7 +172,7 @@ def _write_matrices(matrices: dict[str, LabeledSquareMatrix], config: PipelineCo
     out.mkdir(parents=True, exist_ok=True)
     for name, m in matrices.items():
         write_matrix_csv(m, out / f"{name}.csv")
-        dendro = hierarchical_cluster(_as_dissimilarity(m), config.linkage)
+        dendro = hierarchical_cluster(to_distance(m), config.linkage)
         (out / f"{name}_dendrogram.nwk").write_text(to_newick(dendro) + "\n")
     return out
 
@@ -238,7 +217,7 @@ def run_analysis(config: PipelineConfig) -> dict:
     out = _write_matrices(matrices, config)
     chosen_k = {}
     for name, m in matrices.items():
-        affinity = _as_affinity_like(m)
+        affinity = to_affinity(m)
         k = config.k if config.k is not None else eigengap_k(affinity)
         assignment = spectral_cluster(affinity, k, config.seed)
         _write_assignment_csv(assignment, out / f"{name}_clusters.csv")

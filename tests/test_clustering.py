@@ -119,6 +119,17 @@ class TestNewick:
         d = distance("ab", [[0.0, 2.0], [2.0, 0.0]])
         assert to_newick(hierarchical_cluster(d)) == "(a:2,b:2);"
 
+    def test_labels_quoted_only_where_needed(self):
+        labels = ["st(1)", "b:c", "it's", "a b", "x[2];y,z", "plain_1.5"]
+        n = len(labels)
+        m = np.arange(1.0, n * n + 1).reshape(n, n)
+        m = m + m.T
+        np.fill_diagonal(m, 0.0)
+        text = to_newick(hierarchical_cluster(distance(labels, m)))
+        for quoted in ["'st(1)':", "'b:c':", "'it''s':", "'a b':", "'x[2];y,z':", "plain_1.5:"]:
+            assert quoted in text
+        assert "'plain_1.5'" not in text
+
 
 class TestSpectral:
     def test_exact_blocks_recovered(self):
@@ -158,6 +169,18 @@ class TestSpectral:
         a = block_affinity("ab", [(0, 1)])
         with pytest.raises(BadK):
             spectral_cluster(a, 3, seed=0)
+
+    def test_any_kind_clusters_through_its_affinity_view(self):
+        d = two_block_matrix()
+        a = to_affinity(d)
+        assert spectral_cluster(d, 2, seed=3) == spectral_cluster(a, 2, seed=3)
+        assert eigengap_k(d) == eigengap_k(a) == 2
+        om = LabeledSquareMatrix(a.labels, 2.0 * a.entries - 1.0, MatrixKind.ALIGNMENT)
+        assert spectral_cluster(om, 2, seed=3) == spectral_cluster(a, 2, seed=3)
+
+    def test_clusters_numbered_by_first_appearance(self):
+        a = block_affinity("abcde", [(1, 3), (0, 2, 4)])
+        assert spectral_cluster(a, 2, seed=5).assignments == (0, 1, 0, 1, 0)
 
     def test_zero_degree_rejected(self):
         with pytest.raises(DisconnectedDegenerate):

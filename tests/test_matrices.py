@@ -14,6 +14,7 @@ from stepdist import (
     normalized_distance_matrix,
     read_matrix_csv,
     to_affinity,
+    to_distance,
     unscaled_distance_matrix,
     write_matrix_csv,
 )
@@ -140,6 +141,42 @@ class TestAffinity:
             for y in range(len(dv)):
                 if dv[x] < dv[y]:
                     assert av[x] > av[y]
+
+
+class TestKindViews:
+    LABELS = ("a", "b", "c")
+
+    def matrix(self, entries, kind):
+        return LabeledSquareMatrix(self.LABELS, np.array(entries), kind)
+
+    def test_distance_and_affinity_are_their_own_views(self):
+        d = self.matrix([[0.0, 2.0, 4.0], [2.0, 0.0, 1.0], [4.0, 1.0, 0.0]], MatrixKind.DISTANCE)
+        a = to_affinity(d)
+        assert to_distance(d) is d
+        assert to_affinity(a) is a
+
+    def test_affinity_and_alignment_distance_is_one_minus(self):
+        om = self.matrix([[1.0, -0.5, 0.25], [-0.5, 1.0, 1.0], [0.25, 1.0, 1.0]], MatrixKind.ALIGNMENT)
+        for m in (om, to_affinity(om)):
+            d = to_distance(m)
+            assert d.kind is MatrixKind.DISTANCE
+            assert np.array_equal(d.entries, 1.0 - m.entries)
+
+    def test_alignment_affinity_is_half_shifted(self):
+        om = self.matrix([[1.0, -1.0, 0.5], [-1.0, 1.0, 0.0], [0.5, 0.0, 1.0]], MatrixKind.ALIGNMENT)
+        a = to_affinity(om)
+        assert a.kind is MatrixKind.AFFINITY
+        assert np.array_equal(a.entries, [[1.0, 0.0, 0.75], [0.0, 1.0, 0.5], [0.75, 0.5, 1.0]])
+
+    def test_consistency_views(self):
+        c = self.matrix([[0.5, -1.5, 0.5], [-1.5, -0.25, 1.0], [0.5, 1.0, 0.0]], MatrixKind.CONSISTENCY)
+        d = to_distance(c)
+        assert np.array_equal(d.entries, [[0.0, 1.5, 0.5], [1.5, 0.0, 1.0], [0.5, 1.0, 0.0]])
+        assert np.array_equal(to_affinity(c).entries, to_affinity(d).entries)
+
+    def test_zero_consistency_affinity_is_all_ones(self):
+        c = self.matrix(np.zeros((3, 3)), MatrixKind.CONSISTENCY)
+        assert np.all(to_affinity(c).entries == 1.0)
 
 
 class TestConsistency:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from stepdist import MatrixKind, ingest, read_matrix_csv
 from stepdist.cli import main
-from stepdist.errors import AllMissingColumn, IdMismatch, InputError, UnparseableCell
+from stepdist.errors import AllMissingColumn, DuplicateStation, EmptySet, IdMismatch, InputError, UnparseableCell
 from stepdist.pipeline import PipelineConfig, compare_metrics, run_analysis
 
 DATA = Path(__file__).parent / "data"
@@ -236,6 +237,56 @@ class TestCli:
             ["run", "--series", str(FIXTURE_SERIES), "--metadata", str(stations), "--out", str(tmp_path / "o")]
         )
         assert code == 1
+
+    def test_duplicate_station_is_input_error(self, tmp_path, capsys):
+        stations = tmp_path / "stations.csv"
+        stations.write_text(FIXTURE_STATIONS.read_text() + "alpha,10.0,0.4\n")
+        with pytest.raises(DuplicateStation, match="'alpha'"):
+            ingest(FIXTURE_SERIES, stations)
+        out = tmp_path / "o"
+        assert main(["run", "--series", str(FIXTURE_SERIES), "--metadata", str(stations), "--out", str(out)]) == 1
+        assert "input error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("unreadable", ["series_dir", "metadata_dir", "series_not_utf8", "out_is_file"])
+    def test_unreadable_input_is_input_error(self, tmp_path, capsys, unreadable):
+        argv = {"series": str(FIXTURE_SERIES), "metadata": str(FIXTURE_STATIONS), "out": str(tmp_path / "o")}
+        if unreadable == "series_dir":
+            argv["series"] = str(tmp_path)
+        elif unreadable == "metadata_dir":
+            argv["metadata"] = str(tmp_path)
+        elif unreadable == "series_not_utf8":
+            src = tmp_path / "s.csv"
+            src.write_bytes(FIXTURE_SERIES.read_bytes().replace(b"\n", b"\xff\n", 1))
+            argv["series"] = str(src)
+        else:
+            (tmp_path / "o").write_text("a file, not a directory\n")
+        assert main(["run", *(f"--{key}={value}" for key, value in argv.items())]) == 1
+        assert "input error:" in capsys.readouterr().err
+        assert unreadable == "out_is_file" or not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, write, error, message",
+        [
+            ("run", lambda path: path.write_text("t,x,y\n"), UnparseableCell, "need a header plus data rows"),
+            ("run", lambda path: path.write_text("t,x,\n0,1,2\n1,1,2\n"), UnparseableCell, "empty series id"),
+            ("run", lambda path: path.write_text("t,x,x\n0,1,2\n1,1,2\n"), IdMismatch, "duplicate series ids"),
+            ("run", lambda path: path.write_text("t,x,y\n0,1,2\n1,1,2,3\n"), UnparseableCell, "row 3 has 4 cells"),
+            ("compare-metrics", three_series_csv, EmptySet, r"without change points .*\['c'\]"),
+        ],
+        ids=["header_only", "empty_id", "duplicate_ids", "long_row", "no_change_point"],
+    )
+    def test_rejected_series_csv(self, tmp_path, capsys, command, write, error, message):
+        src = tmp_path / "s.csv"
+        write(src)
+        out = tmp_path / "o"
+        analysis = run_analysis if command == "run" else compare_metrics
+        with pytest.raises(error, match=message):
+            analysis(PipelineConfig(series_path=str(src), out_dir=str(out)))
+        code = 1 if issubclass(error, InputError) else 2
+        assert main([command, "--series", str(src), "--out", str(out)]) == code
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
 
     def test_negative_cosine_with_metadata(self, tmp_path):
         # Opposite-signed levels give a cosine near -1, so alignment minus
