@@ -135,6 +135,19 @@ _FIRST_BLOCK_ROWS = 16
 _BLOCK_CELLS = 2**17
 
 
+def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``v`` scaled along its last axis into max|v| in [0.5, 1), and the exponents.
+
+    Returns (ldexp(v, -e), e) with one e per row (keepdims); an all-zero row
+    keeps e = 0. Scaling by a power of two is exact unless a value turns
+    subnormal, so ratios formed from the scaled values equal those of the
+    originals, while their squares and products stay clear of overflow and
+    underflow.
+    """
+    e = np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1]
+    return np.ldexp(v, -e), e
+
+
 def _window_rng(seed: int, lo: int, hi: int) -> np.random.Generator:
     # Window-addressed stream: results are independent of recursion order.
     return np.random.default_rng(np.random.SeedSequence([seed % (2**63), lo, hi]))
@@ -245,11 +258,7 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
     def recurse(lo: int, hi: int) -> None:
         if hi - lo < 2 * ms:
             return
-        w = x[lo:hi]
-        top = np.abs(w).max()
-        if top > 0.0:
-            # Exact power-of-two scaling: max|w| in [0.5, 1) (see module docstring).
-            w = np.ldexp(w, -np.frexp(top)[1])
+        w, _ = _unit_scaled(x[lo:hi])
         profile = _scan_profile(w[np.newaxis, :], ms, params.attribute)[0]
         best = int(np.argmax(profile))  # first occurrence: smallest split on ties
         if significant(w, lo, hi, profile[best]):

@@ -218,19 +218,18 @@ def spectral_cluster(a: LabeledSquareMatrix, k: int, seed: int = 0) -> ClusterAs
     return _numbered(a.labels, best_labels.tolist(), k)
 
 
-def eigengap_k(a: LabeledSquareMatrix, k_max: int | None = None) -> int:
+def eigengap_k(a: LabeledSquareMatrix) -> int:
     """Cluster count at the largest gap in the low Laplacian spectrum.
 
     Reads the affinity view (``to_affinity``) of any matrix kind.
 
-    Returns the k in 1..k_max maximising eigenvalue_{k+1} - eigenvalue_k
-    (smallest k on ties); k_max defaults to min(10, n - 1).
+    Returns the k in 1..min(10, n - 1) maximising eigenvalue_{k+1} -
+    eigenvalue_k (smallest k on ties), and 1 for a single item.
     """
     w = to_affinity(a).entries
-    n = w.shape[0]
-    if k_max is None:
-        k_max = min(10, n - 1)
-    k_max = max(1, min(k_max, n - 1))
+    k_max = min(10, w.shape[0] - 1)
+    if k_max < 1:
+        return 1
     vals = np.linalg.eigvalsh(_sym_laplacian(w))
     gaps = vals[1 : k_max + 1] - vals[:k_max]
     return int(np.argmax(gaps)) + 1

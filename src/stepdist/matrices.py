@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .changepoint import _unit_scaled
 from .errors import LabelMismatch, ZeroFunction
-from .stepfn import StepFunction, inner_product_row, lp_distance_row, lp_norm, normalize, pack
+from .stepfn import PackedSteps, StepFunction, inner_product_row, lp_distance_row, lp_norm, normalize, pack
 
 _CLAMP_TOL = 1e-12
 
@@ -133,7 +134,14 @@ def normalized_distance_matrix(
 
 
 def alignment_matrix(fs: list[StepFunction], labels=None) -> LabeledSquareMatrix:
-    """Pairwise L^2 cosines <f_i, f_j> / (||f_i||_2 ||f_j||_2)."""
+    """Pairwise L^2 cosines <f_i, f_j> / (||f_i||_2 ||f_j||_2).
+
+    Each function and its norm are first scaled by the power of two that
+    brings its largest magnitude into [0.5, 1) (``changepoint._unit_scaled``).
+    The scaling is exact and cancels in every cosine, so ordinary data gets
+    the same bits as unscaled sums, while the inner products neither
+    overflow nor underflow at extreme magnitudes.
+    """
     labels = _default_labels(fs, labels)
     norms = []
     for label, f in zip(labels, fs):
@@ -141,8 +149,10 @@ def alignment_matrix(fs: list[StepFunction], labels=None) -> LabeledSquareMatrix
         if nrm == 0.0:
             raise ZeroFunction(f"series {label!r} embeds to the zero function")
         norms.append(nrm)
-    norms = np.asarray(norms)
     packed = pack(fs)
+    values, e = _unit_scaled(packed.values)
+    packed = PackedSteps(packed.breakpoints, values, packed.h)
+    norms = np.ldexp(norms, -e[:, 0])
 
     def cosines(i: int) -> np.ndarray:
         c = np.asarray(inner_product_row(packed, i)) / (norms[i] * norms[i + 1 :])

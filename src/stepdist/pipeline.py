@@ -15,9 +15,11 @@ produces byte-identical files.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -166,6 +168,19 @@ def _embed_all(
     return labels, cps, fs
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Raise the OSError that creating ``out_dir`` would raise when a file blocks it.
+
+    Called before detection, so an unusable output path fails at once. The
+    directory itself is only created when there is something to write.
+    """
+    out = Path(out_dir)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), out_dir)
+
+
 def _write_matrices(matrices: dict[str, LabeledSquareMatrix], config: PipelineConfig) -> Path:
     """Write each matrix's CSV and Newick dendrogram into the output directory, and return it."""
     out = Path(config.out_dir)
@@ -188,6 +203,7 @@ def run_analysis(config: PipelineConfig) -> dict:
     series, stations = ingest(config.series_path, config.metadata_path)
     if config.k is not None and config.k > len(series):
         raise BadK(f"k must be in 1..{len(series)}, got {config.k}")
+    _check_out_dir(config.out_dir)
     labels, _, fs = _embed_all(series, config)
 
     d_us = unscaled_distance_matrix(fs, config.p, labels)
@@ -251,6 +267,7 @@ def compare_metrics(config: PipelineConfig) -> dict:
         series, _ = ingest(config.series_path)
     else:
         series = benchmark_suite()  # the committed suite; config.seed drives detection only
+    _check_out_dir(config.out_dir)
     labels, cps, fs = _embed_all(series, config)
     empty = [label for label, c in zip(labels, cps) if len(c) == 0]
     if empty:
@@ -263,7 +280,7 @@ def compare_metrics(config: PipelineConfig) -> dict:
     matrices = {
         "hausdorff": set_matrix(hausdorff),
         "modified_hausdorff": set_matrix(modified_hausdorff),
-        "mj1": set_matrix(lambda a, b: mj_semi_metric(a, b, 1.0)),
+        "mj1": set_matrix(mj_semi_metric),
         "dp": unscaled_distance_matrix(fs, config.p, labels),
     }
     _write_matrices(matrices, config)

@@ -31,6 +31,7 @@ from .changepoint import (
 from .errors import DomainMismatch, ZeroFunction
 
 INF = math.inf
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 def _check_p(p: float) -> float:
@@ -194,9 +195,10 @@ def _segment_norms(
     norms = []
     for a, b in _groups(bounds):
         total = _fsum(terms[a:b]) / h
-        if total == INF or total == 0.0:
+        if total == INF or total < _TINY:
             # Unless every value is 0 (or one is inf), |v|^p overflowed or
-            # underflowed: factor out the largest magnitude and sum again.
+            # underflowed, or the total lost digits as a subnormal: factor
+            # out the largest magnitude and sum again.
             scale = float(np.max(mags[a:b]))
             if 0.0 < scale < INF:
                 rescaled = _fsum(_power_terms(mags[a:b] / scale, widths[a:b], p).tolist()) / h

@@ -200,6 +200,9 @@ class TestEigengap:
         a = block_affinity("abcde", [(0, 1, 2), (3, 4)])
         assert eigengap_k(a) == 2
 
+    def test_single_label(self):
+        assert eigengap_k(distance("a", [[0.0]])) == 1
+
 
 def test_merge_tree_unchanged_by_affinity_reversal():
     rng = np.random.default_rng(5)

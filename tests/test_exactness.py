@@ -3,7 +3,8 @@
 Row-batched distance and alignment matrices, the scalar L^p calls built on
 the same kernel, and the vectorised linkage must reproduce the per-pair
 loops of ``tests/helpers`` bit for bit (compared as raw bytes, so even
-the sign of a zero counts).
+the sign of a zero counts). The break-set metrics, which read one point
+table per pair, must reproduce the two-table code they replaced.
 """
 
 import math
@@ -12,15 +13,19 @@ import numpy as np
 import pytest
 
 from stepdist import (
+    ChangePointSet,
     LabeledSquareMatrix,
     Linkage,
     MatrixKind,
     StepFunction,
     alignment_matrix,
+    hausdorff,
     hierarchical_cluster,
     inner_product,
     lp_distance,
     lp_norm,
+    mj_semi_metric,
+    modified_hausdorff,
     normalized_distance_matrix,
     unscaled_distance_matrix,
 )
@@ -129,3 +134,27 @@ def test_linkage_with_overflowing_average_matches_per_pair_loop():
         want = reference_hierarchical_cluster(m, "average")
         assert hierarchical_cluster(d, Linkage.AVERAGE).merges == want
     assert want[-1][2] == math.inf
+
+
+def _reference_directed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d(x, B) for every x in A, one table per direction as the set metrics used to build it."""
+    return np.abs(a[:, None] - b[None, :]).min(axis=1)
+
+
+def reference_set_metrics(s: ChangePointSet, t: ChangePointSet, p: float) -> tuple[float, float, float]:
+    a, b = np.asarray(s.points, dtype=float), np.asarray(t.points, dtype=float)
+    h = float(max(_reference_directed(a, b).max(), _reference_directed(b, a).max()))
+    mh = float(max(_reference_directed(a, b).mean(), _reference_directed(b, a).mean()))
+    total = (_reference_directed(b, a) ** p).sum() / (2 * b.size)
+    total = total + (_reference_directed(a, b) ** p).sum() / (2 * a.size)
+    return h, mh, float(total ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_set_metrics_match_per_direction_code(p):
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        # Up to 12 points, so numpy's pairwise summation blocks at 8 are crossed.
+        s, t = (ChangePointSet(tuple(np.sort(rng.choice(999, rng.integers(1, 13), replace=False)) + 1)) for _ in "st")
+        got = (hausdorff(s, t), modified_hausdorff(s, t), mj_semi_metric(s, t, p))
+        assert same_bits(got, reference_set_metrics(s, t, p))

@@ -1,4 +1,7 @@
+import errno
 import json
+import math
+import os
 import re
 from pathlib import Path
 
@@ -182,6 +185,39 @@ class TestRunAnalysis:
         with pytest.raises(InputError):
             run_analysis(PipelineConfig(series_path=str(src), out_dir=str(tmp_path / "o")))
 
+    def test_power_of_two_scaling(self, tmp_path):
+        # Scaling the input by 2^k scales the distances and magnitudes exactly,
+        # leaves every other output unchanged and the alignment within rounding,
+        # even where squares and products of the values leave the float range.
+        rng = np.random.default_rng(0)
+        levels = [(0.0, 5.0), (3.0, -2.0), (1.0, 4.0), (-4.0, 2.0)]
+        cols = [np.concatenate([rng.normal(a, 1, 200), rng.normal(b, 1, 200)]) for a, b in levels]
+        scaled = {"distance_unscaled.csv", "distance_unscaled_dendrogram.nwk", "summary.json", "alignment.csv"}
+
+        def run(k):
+            src, out = tmp_path / f"s{k}.csv", tmp_path / f"o{k}"
+            write_series_csv(src, list("abcd"), [np.ldexp(c, k) for c in cols], n=400)
+            assert main(["run", "--series", str(src), "--out", str(out)]) == 0
+            return out
+
+        base = run(0)
+        summary = json.loads((base / "summary.json").read_text())
+        d = read_matrix_csv(base / "distance_unscaled.csv", MatrixKind.DISTANCE).entries
+        omega = read_matrix_csv(base / "alignment.csv", MatrixKind.ALIGNMENT).entries
+        for k in (500, -500, 530, -530, 990, -990):
+            out = run(k)
+            assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in base.iterdir())
+            for path in base.iterdir():
+                if path.name not in scaled:
+                    assert (out / path.name).read_bytes() == path.read_bytes(), (k, path.name)
+            scaled_d = read_matrix_csv(out / "distance_unscaled.csv", MatrixKind.DISTANCE).entries
+            assert np.array_equal(scaled_d, np.ldexp(d, k))
+            got = json.loads((out / "summary.json").read_text())
+            assert got.pop("magnitudes") == {x: math.ldexp(v, k) for x, v in summary["magnitudes"].items()}
+            assert got == {key: v for key, v in summary.items() if key != "magnitudes"}
+            scaled_omega = read_matrix_csv(out / "alignment.csv", MatrixKind.ALIGNMENT).entries
+            assert np.abs(scaled_omega - omega).max() <= 1e-15
+
 
 class TestCompareMetrics:
     def test_default_suite_outputs(self, tmp_path):
@@ -347,6 +383,21 @@ class TestCli:
         assert main([*argv, "--series", str(FIXTURE_SERIES), "--out", str(out)]) == 2
         assert calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare-metrics"])
+    @pytest.mark.parametrize("below_file", [False, True])
+    def test_unusable_out_rejected_before_detection(self, tmp_path, monkeypatch, capsys, command, below_file):
+        calls = []
+        for module in ("stepdist.pipeline", "stepdist.stepfn"):  # stepfn.embed detects through its own binding
+            monkeypatch.setattr(f"{module}.detect_change_points", lambda *args: calls.append(args))
+        blocker = tmp_path / "f"
+        blocker.write_text("a file, not a directory\n")
+        out = blocker / "sub" if below_file else blocker
+        assert main([command, "--series", str(FIXTURE_SERIES), "--out", str(out)]) == 1
+        assert calls == []
+        code = errno.ENOTDIR if below_file else errno.EEXIST
+        assert f"input error: [Errno {code}] {os.strerror(code)}: '{out}'" in capsys.readouterr().err
+        assert blocker.read_text() == "a file, not a directory\n"
 
     def test_config_file_with_flag_override(self, tmp_path):
         src = tmp_path / "s.csv"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,26 @@ class TestMJSemiMetric:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             mj_semi_metric(cps(1), cps(2), 0.5)
+
+    def test_p_checked_by_the_package_rule(self):
+        with pytest.raises(ValueError, match="p must be >= 1 or inf"):
+            mj_semi_metric(cps(1), cps(2), math.nan)
+
+    def test_p_inf_is_hausdorff(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            s = cps(*sorted(rng.choice(np.arange(1, 100), size=4, replace=False)))
+            t = cps(*sorted(rng.choice(np.arange(1, 100), size=6, replace=False)))
+            assert mj_semi_metric(s, s, math.inf) == 0.0
+            assert mj_semi_metric(s, t, math.inf) == hausdorff(s, t)
+
+    def test_large_p_stays_finite(self):
+        # On a 1000-sample series d^p overflows from about p = 100; the sum
+        # is then taken again with the largest distance factored out.
+        s, t = cps(30, 400, 950), cps(60, 500, 700, 980)
+        top = hausdorff(s, t)
+        assert mj_semi_metric(s, t, 50.0) <= mj_semi_metric(s, t, 1000.0) <= top
+        assert mj_semi_metric(s, t, 1e6) == pytest.approx(top, rel=1e-5)
 
 
 def test_all_three_vanish_iff_sets_equal():

@@ -110,6 +110,17 @@ class TestNorm:
         expected = 2e-10 * ((1.0 + 0.5**300) / 2.0) ** (1.0 / 300)
         assert lp_norm(f, 300.0) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [-520, -530])
+    def test_subnormal_sum_rescaled(self, k):
+        # The squares are subnormal and, with full mantissas, rounded: summed
+        # as they are, the total would lose digits.
+        f = StepFunction((0.0, 1.0, 3.0, 4.0), (1 / 3, -2 / 7, 0.6180339887498949))
+        g = StepFunction((0.0, 2.0, 4.0), (-0.1, 1 / 9))
+        tiny_f, tiny_g = (StepFunction(u.breakpoints, np.ldexp(u.values, k)) for u in (f, g))
+        norm, dist = math.ldexp(lp_norm(f, 2.0), k), math.ldexp(lp_distance(f, g, 2.0), k)
+        assert lp_norm(tiny_f, 2.0) == pytest.approx(norm, rel=1e-15, abs=0.0)
+        assert lp_distance(tiny_f, tiny_g, 2.0) == pytest.approx(dist, rel=1e-15, abs=0.0)
+
     def test_overflowing_sum_rescaled(self):
         f = StepFunction((0.0, 1.0, 2.0), (1e308, -1e308))
         assert lp_norm(f, 1.0) == 1e308
