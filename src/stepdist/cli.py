@@ -48,7 +48,7 @@ _OPTIONS = {
 def _read_config_file(path, keys) -> dict[str, str]:
     """Key = value lines of a config file; ``-`` and ``_`` in keys are interchangeable."""
     values: dict[str, str] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -76,12 +76,12 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _add_common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file; flags override it")
-    sub.add_argument("--attribute", choices=["mean", "variance"], help="segment statistic")
+    sub.add_argument("--attribute", choices=[a.value for a in Attribute], help="segment statistic")
     sub.add_argument("--p", help="L^p exponent (>= 1, or 'inf')")
     sub.add_argument("--significance", help="per-test significance level in (0, 1)")
     sub.add_argument("--min-segment", dest="min_segment", help="min observations per segment")
     sub.add_argument("--permutations", help="permutation count for threshold calibration")
-    sub.add_argument("--linkage", choices=["single", "average", "complete"], help="linkage rule")
+    sub.add_argument("--linkage", choices=[m.value for m in Linkage], help="linkage rule")
     sub.add_argument("--k", help="cluster count, or 'auto' for the eigengap choice")
     sub.add_argument("--seed", help="seed for detection and clustering")
     sub.add_argument("--out", help="output directory")

@@ -62,7 +62,7 @@ def geo_distance_matrix(stations: list[StationMetadata]) -> LabeledSquareMatrix:
 
 def read_stations_csv(path) -> list[StationMetadata]:
     """Parse a station metadata CSV with header id,lat_deg,lon_deg."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows or [c.strip() for c in rows[0]] != ["id", "lat_deg", "lon_deg"]:
         raise UnparseableCell(f"{path}: expected header 'id,lat_deg,lon_deg'")

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .changepoint import Attribute, ChangePointSet, DetectionParams, TimeSeries, detect_change_points
+from .changepoint import ChangePointSet, DetectionParams, TimeSeries, detect_change_points
 from .clustering import (
     ClusterAssignment,
     Linkage,
@@ -59,17 +59,12 @@ _MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Everything a pipeline run depends on."""
+class PipelineConfig(DetectionParams):
+    """Everything a pipeline run depends on: the detection settings plus these."""
 
-    attribute: Attribute = DetectionParams.attribute
     p: float = 1.0
-    significance: float = DetectionParams.significance
-    min_segment: int = DetectionParams.min_segment
-    permutations: int = DetectionParams.permutations
     linkage: Linkage = Linkage.AVERAGE
     k: int | None = None  # None selects k per matrix by eigengap
-    seed: int = DetectionParams.seed
     series_path: str | None = None
     metadata_path: str | None = None
     out_dir: str | None = None
@@ -79,10 +74,7 @@ class PipelineConfig:
         _check_p(self.p)
         if self.k is not None and self.k < 1:
             raise BadK(f"k must be >= 1, got {self.k}")
-        self.detection_params()
-
-    def detection_params(self) -> DetectionParams:
-        return DetectionParams(**{f.name: getattr(self, f.name) for f in fields(DetectionParams)})
+        super().__post_init__()
 
 
 def ingest(
@@ -97,7 +89,7 @@ def ingest(
     metadata is given, stations are matched to series ids: a series
     without a station is fatal, an unused station only logs a warning.
     """
-    with open(series_csv, newline="") as fh:
+    with open(series_csv, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r]
     if len(rows) < 2 or len(rows[0]) < 2:
@@ -161,10 +153,9 @@ def _embed_all(
     """Labels, change points and step-function embedding of every series."""
     if len(series) < 2:
         raise InputError(f"pairwise analysis needs >= 2 series, got {len(series)}")
-    params = config.detection_params()
     labels = tuple(ts.id for ts in series)
-    cps = [detect_change_points(ts, params) for ts in series]
-    fs = [from_changepoints(ts, c, params.attribute) for ts, c in zip(series, cps)]
+    cps = [detect_change_points(ts, config) for ts in series]
+    fs = [from_changepoints(ts, c, config.attribute) for ts, c in zip(series, cps)]
     return labels, cps, fs
 
 

@@ -87,3 +87,19 @@ def test_config_file_matches_flags(tmp_path):
     )
     assert main(["run", "--config", str(cfg)]) == 0
     assert _digests(out) == GOLDEN["run_every_option"]
+
+
+@pytest.mark.parametrize("bom_file", ["series", "metadata", "config"])
+def test_byte_order_mark_ignored(tmp_path, bom_file):
+    # Excel's "CSV UTF-8" export and Windows Notepad start a file with a UTF-8
+    # byte-order mark; each input reads as if the mark were absent.
+    out = tmp_path / "out"
+    paths = {"series": DATA / "geo_fixture_series.csv", "metadata": DATA / "geo_fixture_stations.csv"}
+    if bom_file in paths:
+        paths[bom_file] = tmp_path / paths[bom_file].name
+        paths[bom_file].write_bytes(b"\xef\xbb\xbf" + (DATA / paths[bom_file].name).read_bytes())
+    cfg = tmp_path / "run.cfg"
+    text = f"series = {paths['series']}\nmetadata = {paths['metadata']}\nout = {out}\n"
+    cfg.write_bytes((b"\xef\xbb\xbf" if bom_file == "config" else b"") + text.encode())
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert _digests(out) == GOLDEN["run_metadata"]

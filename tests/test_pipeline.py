@@ -8,9 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stepdist import MatrixKind, ingest, read_matrix_csv
+from stepdist import (
+    Attribute,
+    DetectionParams,
+    MatrixKind,
+    TimeSeries,
+    detect_change_points,
+    embed,
+    ingest,
+    read_matrix_csv,
+)
 from stepdist.cli import main
-from stepdist.errors import AllMissingColumn, DuplicateStation, EmptySet, IdMismatch, InputError, UnparseableCell
+from stepdist.errors import AllMissingColumn, BadK, DuplicateStation, EmptySet, IdMismatch, InputError, UnparseableCell
 from stepdist.pipeline import PipelineConfig, compare_metrics, run_analysis
 
 DATA = Path(__file__).parent / "data"
@@ -235,6 +244,64 @@ class TestCompareMetrics:
         src.write_text("t,x\n" + "\n".join(f"{t},{t % 5}" for t in range(100)) + "\n")
         with pytest.raises(InputError):
             compare_metrics(PipelineConfig(series_path=str(src), out_dir=str(tmp_path / "o")))
+
+
+class TestConfig:
+    # A run's config is itself the detector's parameters: PipelineConfig
+    # extends DetectionParams instead of converting to one.
+    SETTINGS = {
+        Attribute.MEAN: dict(significance=0.1, min_segment=25, permutations=99, seed=7),
+        Attribute.VARIANCE: dict(significance=0.05, min_segment=30, permutations=199, seed=3),
+    }
+
+    def test_config_is_detection_params(self):
+        config = PipelineConfig()
+        assert isinstance(config, DetectionParams)
+        assert {f: getattr(config, f) for f in vars(DetectionParams())} == vars(DetectionParams())
+
+    @pytest.mark.parametrize("attribute", list(Attribute))
+    def test_config_detects_like_detection_params(self, attribute):
+        rng = np.random.default_rng(5)
+        if attribute is Attribute.MEAN:
+            x = np.concatenate([rng.normal(0, 1, 150), rng.normal(4, 1, 150), rng.normal(-1, 1, 150)])
+        else:
+            x = np.concatenate([rng.normal(0, 1, 200), rng.normal(0, 6, 200)])
+        ts = TimeSeries("x", x)
+        settings = dict(attribute=attribute, **self.SETTINGS[attribute])
+        config = PipelineConfig(p=2.0, k=3, **settings)
+        params = DetectionParams(**settings)
+        cps = detect_change_points(ts, params)
+        assert len(cps) > 0
+        assert detect_change_points(ts, config) == cps
+        assert embed(ts, config) == embed(ts, params)
+
+    @pytest.mark.parametrize("attribute", list(Attribute))
+    def test_analysis_detects_with_the_config_itself(self, tmp_path, monkeypatch, attribute):
+        seen = []
+
+        def detect(series, params):
+            seen.append(params)
+            return detect_change_points(series, params)
+
+        monkeypatch.setattr("stepdist.pipeline.detect_change_points", detect)
+        config = PipelineConfig(
+            attribute=attribute, series_path=str(FIXTURE_SERIES), out_dir=str(tmp_path / "o"), k=2
+        )
+        run_analysis(config)
+        assert len(seen) == 6 and all(params is config for params in seen)
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (dict(p=0.5, k=0, significance=2.0), ValueError, "p must be"),
+            (dict(k=0, significance=2.0), BadK, "k must be"),
+            (dict(significance=2.0, min_segment=1), ValueError, "significance must be"),
+            (dict(attribute="variance", min_segment=2), ValueError, "min_segment must be >= 3"),
+        ],
+    )
+    def test_first_bad_setting_reported(self, bad, error, message):
+        with pytest.raises(error, match=message):
+            PipelineConfig(**bad)
 
 
 class TestCli:
