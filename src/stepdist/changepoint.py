@@ -4,8 +4,8 @@ The detector is offline binary segmentation with permutation-calibrated
 significance: within a window, the split maximising a two-sample test
 statistic (Student-t for the mean, variance-ratio for the variance) is
 accepted if its maximal statistic is extreme relative to the same scan
-applied to seeded permutations of the window. Accepted splits recurse on
-both halves until nothing significant remains.
+applied to seeded permutations of the window. Accepted splits queue both
+halves for testing until nothing significant remains.
 
 Calibration is sequential (Besag & Clifford 1991): permutations are
 drawn and scanned in row blocks, and a window stops as soon as its
@@ -23,7 +23,7 @@ extreme magnitudes.
 
 Everything is deterministic: the permutation stream for a window is
 derived from ``(seed, window start, window end)``, so results do not
-depend on recursion order and are reproducible bit-for-bit.
+depend on the order windows are tested in and are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _window_rng(seed: int, lo: int, hi: int) -> np.random.Generator:
-    # Window-addressed stream: results are independent of recursion order.
+    # Window-addressed stream: results are independent of the order windows are tested in.
     return np.random.default_rng(np.random.SeedSequence([seed % (2**63), lo, hi]))
 
 
@@ -236,7 +236,15 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
     # cannot move the boundary. Exceedances only grow as permutations run.
     limit = bisect.bisect_right(range(b + 1), params.significance, key=lambda k: (1 + k) / (b + 1)) - 1
 
-    def significant(w: np.ndarray, lo: int, hi: int, observed: float) -> bool:
+    windows = [(0, n)]
+    while windows:
+        lo, hi = windows.pop()
+        if hi - lo < 2 * ms:
+            continue
+        w, _ = _unit_scaled(x[lo:hi])
+        profile = _scan_profile(w[np.newaxis, :], ms, params.attribute)[0]
+        best = int(np.argmax(profile))  # first occurrence: smallest split on ties
+        observed = profile[best]
         sizes = _split_sizes(w.size, ms)
         max_rows = max(1, _BLOCK_CELLS // w.size)
         rng = _window_rng(params.seed, lo, hi)
@@ -253,21 +261,11 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
             exceed += int(np.count_nonzero(perm_max >= observed))
             done += take
             rows *= 2
-        return exceed <= limit
-
-    def recurse(lo: int, hi: int) -> None:
-        if hi - lo < 2 * ms:
-            return
-        w, _ = _unit_scaled(x[lo:hi])
-        profile = _scan_profile(w[np.newaxis, :], ms, params.attribute)[0]
-        best = int(np.argmax(profile))  # first occurrence: smallest split on ties
-        if significant(w, lo, hi, profile[best]):
+        if exceed <= limit:
             cp = lo + ms + best
             found.append(cp)
-            recurse(lo, cp)
-            recurse(cp, hi)
-
-    recurse(0, n)
+            # Pushed right first so the left half is scanned next, depth first.
+            windows += [(cp, hi), (lo, cp)]
     return ChangePointSet(tuple(sorted(found)))
 
 

@@ -82,7 +82,7 @@ def read_stations_csv(path) -> list[StationMetadata]:
 
 
 def write_stations_csv(stations: list[StationMetadata], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "lat_deg", "lon_deg"])
         for s in stations:

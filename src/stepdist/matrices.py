@@ -227,7 +227,7 @@ def write_matrix_csv(m: LabeledSquareMatrix, path) -> None:
     Values are rendered with repr so the decimal text round-trips to the
     exact same doubles.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(m.labels)
         for label, row in zip(m.labels, m.entries):
@@ -236,7 +236,7 @@ def write_matrix_csv(m: LabeledSquareMatrix, path) -> None:
 
 def read_matrix_csv(path, kind: MatrixKind) -> LabeledSquareMatrix:
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty matrix file")

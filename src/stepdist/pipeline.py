@@ -140,7 +140,7 @@ def ingest(
 
 
 def _write_assignment_csv(assignment: ClusterAssignment, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["label", "cluster"])
         for label, c in zip(assignment.labels, assignment.assignments):
@@ -179,7 +179,7 @@ def _write_matrices(matrices: dict[str, LabeledSquareMatrix], config: PipelineCo
     for name, m in matrices.items():
         write_matrix_csv(m, out / f"{name}.csv")
         dendro = hierarchical_cluster(to_distance(m), config.linkage)
-        (out / f"{name}_dendrogram.nwk").write_text(to_newick(dendro) + "\n")
+        (out / f"{name}_dendrogram.nwk").write_text(to_newick(dendro) + "\n", encoding="utf-8", newline="")
     return out
 
 
@@ -239,7 +239,7 @@ def run_analysis(config: PipelineConfig) -> dict:
     }
     if consistency_norms:
         summary["consistency_norms"] = consistency_norms
-    with open(out / "summary.json", "w") as fh:
+    with open(out / "summary.json", "w", newline="", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary

@@ -25,6 +25,7 @@ from .changepoint import (
     ChangePointSet,
     DetectionParams,
     TimeSeries,
+    _unit_scaled,
     detect_change_points,
     segment_statistics,
 )
@@ -177,10 +178,10 @@ def _power_terms(mags: np.ndarray, widths: np.ndarray, p: float) -> np.ndarray:
 
 
 def _fsum(terms: list[float]) -> float:
-    """Exact sum; inf when finite terms sum beyond the float range."""
+    """Exact sum; inf when finite terms sum beyond the float range, or terms hold inf and -inf."""
     try:
         return math.fsum(terms)
-    except OverflowError:
+    except (OverflowError, ValueError):
         return INF
 
 
@@ -222,11 +223,35 @@ def lp_distance_row(packed: PackedSteps, i: int, p: float) -> list[float]:
     return _segment_norms(vf - vg, widths, bounds, packed.h, p)
 
 
+def _rescaled_inner_sum(vf: np.ndarray, vg: np.ndarray, widths: np.ndarray, h: float) -> float:
+    """(1/h) * sum vf * vg * widths, for cells whose direct sum leaves the float range.
+
+    Both factors are scaled by powers of two into max magnitude [0.5, 1)
+    (``changepoint._unit_scaled``), so every term is at most its width and
+    the exact sum stays finite; scaling back gives +-inf only when the
+    result itself lies beyond the float range.
+    """
+    sf, ef = _unit_scaled(vf)
+    sg, eg = _unit_scaled(vg)
+    total = math.fsum((sf * sg * widths).tolist()) / h
+    try:
+        return math.ldexp(total, int(ef[0] + eg[0]))
+    except OverflowError:
+        return math.copysign(INF, total)
+
+
 def inner_product_row(packed: PackedSteps, i: int) -> list[float]:
     """<f_i, f_j> for every j > i, one exact sum per pair."""
     widths, vf, vg, bounds = merged_cells(packed, i)
-    terms = (vf * vg * widths).tolist()
-    return [math.fsum(terms[a:b]) / packed.h for a, b in _groups(bounds)]
+    with np.errstate(over="ignore"):
+        terms = (vf * vg * widths).tolist()
+    out = []
+    for a, b in _groups(bounds):
+        total = _fsum(terms[a:b]) / packed.h
+        if not math.isfinite(total):  # a term or a partial sum overflowed
+            total = _rescaled_inner_sum(vf[a:b], vg[a:b], widths[a:b], packed.h)
+        out.append(total)
+    return out
 
 
 def lp_distance(f: StepFunction, g: StepFunction, p: float) -> float:

@@ -141,12 +141,12 @@ def export_suite(out_dir, seed: int = SUITE_SEED) -> dict:
     specs = benchmark_suite_specs(seed)
     series = [generate_series(s) for s in specs]
     for ts in series:
-        with open(out / f"{ts.id}.csv", "w", newline="") as fh:
+        with open(out / f"{ts.id}.csv", "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "value"])
             for t, v in enumerate(ts.values):
                 w.writerow([t, repr(float(v))])
-    with open(out / "suite_wide.csv", "w", newline="") as fh:
+    with open(out / "suite_wide.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t", *[ts.id for ts in series]])
         for t in range(SUITE_LENGTH):
@@ -166,7 +166,7 @@ def export_suite(out_dir, seed: int = SUITE_SEED) -> dict:
             for s in specs
         ],
     }
-    with open(out / "manifest.json", "w") as fh:
+    with open(out / "manifest.json", "w", newline="", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -244,6 +247,37 @@ class TestSequentialCalibration:
         assert sum(top) == params.permutations - 9
         assert top[0] == changepoint_module._FIRST_BLOCK_ROWS
         assert all(r * n <= changepoint_module._BLOCK_CELLS for r, n in blocks)
+
+
+# Every power of two from the smallest subnormal to the largest normal double:
+# under the mean attribute about a thousand accepted splits nest inside one another.
+DEEP = 2.0 ** np.arange(-1074, 1024)
+
+
+class TestDeepSegmentation:
+    # sha256 of the JSON list of change points that the recursive detector
+    # this loop replaced returned with a raised recursion limit.
+    @pytest.mark.parametrize(
+        "attribute,min_segment,count,digest",
+        [
+            ("mean", 2, 1034, "6d8646637f7999e8ce1028df56a8def089fc7bf7681f225ea20c3b57ac116327"),
+            ("variance", 3, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        ],
+    )
+    def test_nested_splits_need_no_recursion(self, attribute, min_segment, count, digest):
+        params = DetectionParams(attribute=attribute, min_segment=min_segment, permutations=19)
+        points = detect_change_points(TimeSeries("deep", DEEP), params).points
+        assert len(points) == count
+        assert hashlib.sha256(json.dumps(list(points)).encode()).hexdigest() == digest
+
+    def test_run_on_deep_series(self, tmp_path):
+        src = tmp_path / "deep.csv"
+        step = (np.arange(DEEP.size) >= DEEP.size // 2).astype(float)
+        rows = (f"{t},{v!r},{s!r}\n" for t, (v, s) in enumerate(zip(DEEP.tolist(), step.tolist())))
+        src.write_text("t,deep,step\n" + "".join(rows))
+        argv = ["run", "--series", str(src), "--out", str(tmp_path / "o"), "--min-segment", "2", "--permutations", "19"]
+        assert main(argv) == 0
+        assert len(list((tmp_path / "o").iterdir())) == 16
 
 
 class TestSegmentStatistics:

@@ -3,11 +3,14 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stepdist
 from stepdist import (
     Attribute,
     DetectionParams,
@@ -311,6 +314,25 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--series", str(src), "--out", str(out)]) == 0
         assert (out / "summary.json").exists()
+
+    def test_outputs_do_not_depend_on_the_locale(self, tmp_path):
+        rng = np.random.default_rng(5)
+        columns = [np.r_[rng.normal(0, 1, 80), rng.normal(5, 1, 80)], rng.normal(0, 1, 160), rng.normal(2, 1, 160)]
+        rows = ["t,Zürich,Genève,Bern", *(",".join([str(t), *(str(c[t]) for c in columns)]) for t in range(160))]
+        src = tmp_path / "s.csv"
+        src.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["run", "--series", str(src), "--out", str(tmp_path / "here")]) == 0
+        # An ASCII locale, with neither locale coercion nor UTF-8 mode to hide it.
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(stepdist.__file__).parents[1]), env.get("PYTHONPATH")]))
+        code = "import sys; from stepdist.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["run", "--series", str(src), "--out", str(tmp_path / "ascii")]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        here = sorted(p.name for p in (tmp_path / "here").iterdir())
+        assert here == sorted(p.name for p in (tmp_path / "ascii").iterdir())
+        for name in here:
+            assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "here" / name).read_bytes(), name
 
     def test_missing_series_file_is_input_error(self, tmp_path):
         code = main(["run", "--series", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])

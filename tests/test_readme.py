@@ -7,7 +7,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_python_blocks_run_in_order():
-    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.M | re.S)
     assert blocks, "README has no python examples"
     namespace: dict = {}
     for i, block in enumerate(blocks):

@@ -176,6 +176,25 @@ class TestInnerProduct:
     def test_constants_multiply(self):
         assert inner_product(StepFunction.constant(3.0, 2.0), StepFunction.constant(-4.0, 2.0)) == -12.0
 
+    def test_overflowing_sum_rescaled(self):
+        # The terms 1e308, 1e308, -1e308 overflow as a partial sum; the mean does not.
+        bps = (0.0, 1.0, 2.0, 3.0)
+        f = StepFunction(bps, (1e154, 2e154, 1e154))
+        g = StepFunction(bps, (1e154, 5e153, -1e154))
+        small_f, small_g = (StepFunction(u.breakpoints, np.ldexp(u.values, -600)) for u in (f, g))
+        expected = math.ldexp(inner_product(small_f, small_g), 1200)
+        assert math.isfinite(expected)
+        assert inner_product(f, g) == expected == pytest.approx(1e308 / 3, rel=1e-15)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_beyond_float_range_is_signed_inf(self, sign):
+        bps = (0.0, 1.0, 2.0)
+        f = StepFunction(bps, (1e200, -3e200))
+        g = StepFunction(bps, (sign * 1e200, -sign * 1e200))
+        assert inner_product(f, g) == sign * math.inf
+        # Terms inf and -inf whose true sum is still beyond the float range.
+        assert inner_product(StepFunction(bps, (2e200, 1e200)), g) == sign * math.inf
+
 
 class TestNormalize:
     def test_constant_five_becomes_one(self):
