@@ -286,12 +286,29 @@ def segment_statistics(
     out = []
     for start, end in zip(bounds, bounds[1:]):
         seg = series.values[start:end]
-        if attribute is Attribute.MEAN:
-            out.append(float(np.mean(seg)))
-        else:
-            if seg.size < 2:
-                raise DegenerateSegment(
-                    f"variance needs >= 2 observations, segment [{start}, {end}) has {seg.size}"
-                )
-            out.append(float(np.var(seg, ddof=1)))
+        if attribute is Attribute.VARIANCE and seg.size < 2:
+            raise DegenerateSegment(
+                f"variance needs >= 2 observations, segment [{start}, {end}) has {seg.size}"
+            )
+        out.append(_segment_statistic(seg, attribute))
     return tuple(out)
+
+
+def _segment_statistic(seg: np.ndarray, attribute: Attribute) -> float:
+    """Mean or unbiased variance of one segment.
+
+    Near the top of the float range the sums inside numpy overflow; only
+    then is the statistic recomputed on the segment scaled by 2^-e
+    (``_unit_scaled``) and scaled back by 2^e (mean) or 2^(2e) (variance),
+    so every finite statistic keeps its bits and one beyond the range is inf.
+    """
+    if attribute is Attribute.MEAN:
+        stat, power = np.mean, 1
+    else:
+        stat, power = (lambda v: np.var(v, ddof=1)), 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = stat(seg)
+        if not np.isfinite(value):
+            w, e = _unit_scaled(seg)
+            value = np.ldexp(stat(w), power * int(e[0]))
+    return float(value)

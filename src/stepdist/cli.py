@@ -27,21 +27,23 @@ def _parse_k(text: str) -> int | None:
     return None if text.strip().lower() in ("auto", "") else int(text)
 
 
-# Every option: its config key, which is also its flag's argparse dest,
-# mapped to the PipelineConfig field it sets and the parser of its text.
-# Unset options keep the PipelineConfig defaults.
+# Every option of run and compare-metrics: its config key, which is also
+# its flag's argparse dest (the flag is --<key> with - for _), mapped to the
+# PipelineConfig field it sets, the parser of its text, its help and, for an
+# enum option, the enum whose values are the flag's choices. Rows are in
+# --help order; unset options keep the PipelineConfig defaults.
 _OPTIONS = {
-    "attribute": ("attribute", lambda text: Attribute(text.lower())),
-    "p": ("p", float),
-    "significance": ("significance", float),
-    "min_segment": ("min_segment", int),
-    "permutations": ("permutations", int),
-    "linkage": ("linkage", lambda text: Linkage(text.lower())),
-    "k": ("k", _parse_k),
-    "seed": ("seed", int),
-    "series": ("series_path", str),
-    "metadata": ("metadata_path", str),
-    "out": ("out_dir", str),
+    "attribute": ("attribute", lambda text: Attribute(text.lower()), "segment statistic", Attribute),
+    "p": ("p", float, "L^p exponent (>= 1, or 'inf')", None),
+    "significance": ("significance", float, "per-test significance level in (0, 1)", None),
+    "min_segment": ("min_segment", int, "min observations per segment", None),
+    "permutations": ("permutations", int, "permutation count for threshold calibration", None),
+    "linkage": ("linkage", lambda text: Linkage(text.lower()), "linkage rule", Linkage),
+    "k": ("k", _parse_k, "cluster count, or 'auto' for the eigengap choice", None),
+    "seed": ("seed", int, "seed for detection and clustering", None),
+    "out": ("out_dir", str, "output directory", None),
+    "series": ("series_path", str, "wide CSV: timestamp column plus one column per series", None),
+    "metadata": ("metadata_path", str, "station CSV: id,lat_deg,lon_deg (enables consistency analysis)", None),
 }
 
 
@@ -74,19 +76,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**{_OPTIONS[key][0]: _OPTIONS[key][1](text) for key, text in values.items()})
 
 
-def _add_common_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file; flags override it")
-    sub.add_argument("--attribute", choices=[a.value for a in Attribute], help="segment statistic")
-    sub.add_argument("--p", help="L^p exponent (>= 1, or 'inf')")
-    sub.add_argument("--significance", help="per-test significance level in (0, 1)")
-    sub.add_argument("--min-segment", dest="min_segment", help="min observations per segment")
-    sub.add_argument("--permutations", help="permutation count for threshold calibration")
-    sub.add_argument("--linkage", choices=[m.value for m in Linkage], help="linkage rule")
-    sub.add_argument("--k", help="cluster count, or 'auto' for the eigengap choice")
-    sub.add_argument("--seed", help="seed for detection and clustering")
-    sub.add_argument("--out", help="output directory")
-
-
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stepdist",
@@ -95,13 +84,17 @@ def _make_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     run = subs.add_parser("run", help="full matrix and clustering analysis of a series CSV")
-    _add_common_options(run)
-    run.add_argument("--series", help="wide CSV: timestamp column plus one column per series")
-    run.add_argument("--metadata", help="station CSV: id,lat_deg,lon_deg (enables consistency analysis)")
-
     cmp_ = subs.add_parser("compare-metrics", help="break-set metrics vs the step-function distance")
-    _add_common_options(cmp_)
-    cmp_.add_argument("--series", help="wide series CSV (default: the committed benchmark suite)")
+    # compare-metrics has no station metadata, and its series defaults to the benchmark suite.
+    cmp_help = {"series": "wide series CSV (default: the committed benchmark suite)"}
+    for sub, skip, own_help in ((run, (), {}), (cmp_, ("metadata",), cmp_help)):
+        sub.add_argument("--config", help="flat key=value config file; flags override it")
+        for key, (_, _, text, enum) in _OPTIONS.items():
+            if key in skip:
+                continue
+            # Lowercased before argparse checks the choices: enum values are case-insensitive.
+            choices = {"type": str.lower, "choices": [m.value for m in enum]} if enum else {}
+            sub.add_argument("--" + key.replace("_", "-"), help=own_help.get(key, text), **choices)
 
     suite = subs.add_parser("export-suite", help="write the committed benchmark suite to disk")
     suite.add_argument("--out", required=True, help="output directory")

@@ -90,20 +90,22 @@ def ingest(
     without a station is fatal, an unused station only logs a warning.
     """
     with open(series_csv, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
-    if len(rows) < 2 or len(rows[0]) < 2:
+        reader = csv.reader(fh)
+        # Each row with its line in the file, which error messages name; blank lines are dropped.
+        rows = [(reader.line_num, row) for row in reader if row]
+    if len(rows) < 2 or len(rows[0][1]) < 2:
         raise UnparseableCell(f"{series_csv}: need a header plus data rows with >= 1 series column")
-    ids = [c.strip() for c in rows[0][1:]]
+    (_, header), *data = rows
+    ids = [c.strip() for c in header[1:]]
     if any(not i for i in ids):
         raise UnparseableCell(f"{series_csv}: empty series id in header")
     if len(set(ids)) != len(ids):
         raise IdMismatch(f"{series_csv}: duplicate series ids in header")
     n_cols = len(ids)
-    table = np.full((len(rows) - 1, n_cols), np.nan)  # nan marks a missing cell; stored cells are finite
-    for r, row in enumerate(rows[1:], start=2):
+    table = np.full((len(data), n_cols), np.nan)  # nan marks a missing cell; stored cells are finite
+    for r, (line, row) in enumerate(data):
         if len(row) > n_cols + 1:
-            raise UnparseableCell(f"{series_csv}: row {r} has {len(row)} cells, expected {n_cols + 1}")
+            raise UnparseableCell(f"{series_csv}: row {line} has {len(row)} cells, expected {n_cols + 1}")
         for j, tok in enumerate(row[1:]):
             tok = tok.strip()
             if tok.lower() in _MISSING_TOKENS:
@@ -114,9 +116,9 @@ def ingest(
                 value = math.nan
             if not math.isfinite(value):
                 raise UnparseableCell(
-                    f"{series_csv}: row {r}, column {ids[j]!r}: cannot parse {tok!r} as a finite number"
+                    f"{series_csv}: row {line}, column {ids[j]!r}: cannot parse {tok!r} as a finite number"
                 )
-            table[r - 2, j] = value
+            table[r, j] = value
     present = ~np.isnan(table)
     observed = present.any(axis=0)
     if not observed.all():

@@ -220,7 +220,15 @@ def lp_distance_row(packed: PackedSteps, i: int, p: float) -> list[float]:
     """||f_i - f_j||_p for every j > i, exact over each merged partition."""
     p = _check_p(p)
     widths, vf, vg, bounds = merged_cells(packed, i)
-    return _segment_norms(vf - vg, widths, bounds, packed.h, p)
+    with np.errstate(over="ignore"):
+        diffs = vf - vg
+    norms = _segment_norms(diffs, widths, bounds, packed.h, p)
+    if INF in norms:
+        for k, (a, b) in enumerate(_groups(bounds)):
+            if norms[k] == INF:  # f - g may overflow where ||f - g|| does not: halving is exact
+                half = _segment_norms(vf[a:b] / 2 - vg[a:b] / 2, widths[a:b], np.array([0, b - a]), packed.h, p)
+                norms[k] = 2.0 * half[0]
+    return norms
 
 
 def _rescaled_inner_sum(vf: np.ndarray, vg: np.ndarray, widths: np.ndarray, h: float) -> float:

@@ -11,6 +11,7 @@ from stepdist import (
     DetectionParams,
     TimeSeries,
     detect_change_points,
+    from_changepoints,
     segment_statistics,
 )
 from stepdist.cli import main
@@ -307,6 +308,21 @@ class TestSegmentStatistics:
         ts = TimeSeries("b", [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             segment_statistics(ts, ChangePointSet((2,)), Attribute.MEAN)
+
+    def test_overflowing_sums_rescaled(self):
+        # The sums inside np.mean and np.var overflow; the statistics do not.
+        ts = TimeSeries("x", np.full(4, 1.5e308))
+        assert segment_statistics(ts, ChangePointSet(()), Attribute.MEAN) == (1.5e308,)
+        assert segment_statistics(ts, ChangePointSet(()), Attribute.VARIANCE) == (0.0,)
+        values = np.array([1.0e308, 1.2e308, 1.7e308, 1.1e308, 3.0, -2.0])
+        expected = (float(np.mean(values[:4] / 4) * 4), float(np.mean(values[4:])))
+        assert segment_statistics(TimeSeries("y", values), ChangePointSet((4,)), Attribute.MEAN) == expected
+
+    def test_variance_beyond_float_range_is_inf(self):
+        ts = TimeSeries("x", [1.5e308, -1.5e308, 1.5e308, -1.5e308])
+        assert segment_statistics(ts, ChangePointSet(()), Attribute.VARIANCE) == (float("inf"),)
+        with pytest.raises(ValueError, match="breakpoints and values must be finite"):
+            from_changepoints(ts, ChangePointSet(()), Attribute.VARIANCE)
 
 
 class TestValidation:

@@ -94,6 +94,20 @@ class TestIngest:
         with pytest.raises(UnparseableCell, match="froth"):
             ingest(p)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,a,b\n0,1,2\n\n\n1,x,3\n", "row 5, column 'a': cannot parse 'x'"),
+            ("t,a,b\n\n0,1,2\n\n1,1,2,3\n", "row 5 has 4 cells"),
+        ],
+        ids=["bad_cell", "long_row"],
+    )
+    def test_error_rows_are_file_lines(self, tmp_path, text, message):
+        p = tmp_path / "s.csv"
+        p.write_text(text)
+        with pytest.raises(UnparseableCell, match=re.escape(message)):
+            ingest(p)
+
     def test_all_missing_column(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("t,x,y\n0,1,\n1,2,\n")
@@ -229,6 +243,27 @@ class TestRunAnalysis:
             assert got == {key: v for key, v in summary.items() if key != "magnitudes"}
             scaled_omega = read_matrix_csv(out / "alignment.csv", MatrixKind.ALIGNMENT).entries
             assert np.abs(scaled_omega - omega).max() <= 1e-15
+
+
+    @pytest.mark.parametrize("overflow", ["segment_sum", "difference"])
+    def test_values_near_float_max(self, tmp_path, overflow):
+        # segment_sum: the sums inside the segment means overflow. difference:
+        # a - b overflows on the last 30 rows although ||a - b||_1 is finite.
+        t = np.arange(120)
+        if overflow == "segment_sum":
+            levels = [(1.0e308, 1.2e308, 60), (1.1e308, 1.0e308, 60), (1.0e308, 1.15e308, 30)]
+            noise = 1 + 1e-3 * np.random.default_rng(0).normal(size=(120, 3))
+        else:
+            levels = [(0.0, 1e308, 90), (0.0, -1e308, 90), (0.0, 5.0, 60)]
+            noise = np.ones((120, 3))
+        cols = [np.where(t < at, before, after) * noise[:, j] for j, (before, after, at) in enumerate(levels)]
+        src, out = tmp_path / "s.csv", tmp_path / "o"
+        write_series_csv(src, ["a", "b", "c"], cols, n=120)
+        assert main(["run", "--series", str(src), "--out", str(out)]) == 0
+        d = read_matrix_csv(out / "distance_unscaled.csv", MatrixKind.DISTANCE).entries
+        assert np.isfinite(d).all()
+        if overflow == "difference":
+            assert d[0, 1] == pytest.approx(58 / 119 * 1e308, rel=1e-15, abs=0.0)
 
 
 class TestCompareMetrics:

@@ -19,6 +19,7 @@ from stepdist import (
     normalize,
 )
 from stepdist.errors import DomainMismatch, ZeroFunction
+from stepdist.stepfn import lp_distance_row, pack
 
 from tests.helpers import add_bump, quadrature_lp_distance, random_step_function
 
@@ -159,6 +160,15 @@ class TestDistance:
             f, g, k = (random_step_function(rng, h=h) for _ in range(3))
             for p in P_GRID:
                 assert lp_distance(f, k, p) <= (lp_distance(f, g, p) + lp_distance(g, k, p)) * (1 + 1e-9) + 1e-15
+
+    @pytest.mark.parametrize("p, expected", [(1.0, 2e307), (2.0, 2e307 * math.sqrt(10.0)), (math.inf, math.inf)])
+    def test_overflowing_difference_rescaled(self, p, expected):
+        # f - g overflows on the first cell although ||f - g||_p is finite for finite p.
+        f = StepFunction((0.0, 1.0, 10.0), (1e308, 0.0))
+        g = StepFunction((0.0, 1.0, 10.0), (-1e308, 0.0))
+        assert lp_distance(f, g, p) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        zero = StepFunction.constant(0.0, 10.0)
+        assert lp_distance_row(pack([f, g, zero]), 0, p) == [lp_distance(f, g, p), lp_norm(f, p)]
 
 
 class TestInnerProduct:
