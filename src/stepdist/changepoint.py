@@ -21,6 +21,31 @@ scale-invariant and the scaling is exact, so decisions on ordinary data
 are unchanged, while sums of squares no longer overflow or underflow at
 extreme magnitudes.
 
+The mean scan does not compute the t-statistic itself. Every permutation
+of a window has the same sum and total sum of squares (TSS), so the
+pooled t-statistic is a monotone function of the score
+u = S^2 / (n_l * n_r), where S is the left sum of the window centred
+once on its mean: t^2 = (n - 2) v / (1 - v) with v = n u / TSS. A
+permutation row then costs one cumulative sum, a square and a multiply.
+The variance scan computes the ratio F = max(var_l / var_r, var_r / var_l)
+of the side variances.
+
+Ties count as exceedances, and they are decided exactly. Every float
+score lies within a proven rounding band of the exact one: an absolute
+band for u, and a relative one for F wherever the smaller side variance
+is well clear of its rounding error. A permutation row whose float
+maximum lies inside the band around the observed score is decided again
+in integer arithmetic: after the power-of-two scaling every value of a
+window is an integer multiple of one power of two, so its sums and sums
+of squares are exact Python ints, and scores are compared as fractions
+by cross-multiplication. The observed split is chosen the same way:
+among the splits within the band of the maximum, the exact maximum, and
+the smallest split on ties. Rows inside the band practically never occur
+on continuous data; on integer-valued data they are common. A variance
+split whose smaller side variance is within rounding of zero, a flat
+side among them, keeps its float ratio as its score, which is what the
+full permutation test computes there.
+
 Everything is deterministic: the permutation stream for a window is
 derived from ``(seed, window start, window end)``, so results do not
 depend on the order windows are tested in and are reproducible bit-for-bit.
@@ -29,6 +54,8 @@ depend on the order windows are tested in and are reproducible bit-for-bit.
 from __future__ import annotations
 
 import bisect
+import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -154,19 +181,24 @@ def _window_rng(seed: int, lo: int, hi: int) -> np.random.Generator:
 
 
 def _split_sizes(n: int, min_segment: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left sizes n_l, right sizes n_r and 1/n_l + 1/n_r of every admissible split."""
+    """Left sizes n_l, right sizes n_r and 1/(n_l * n_r) of every admissible split."""
     n_l = np.arange(min_segment, n - min_segment + 1, dtype=float)
     n_r = n - n_l
-    return n_l, n_r, 1.0 / n_l + 1.0 / n_r
+    return n_l, n_r, 1.0 / (n_l * n_r)
 
 
 def _scan_profile(rows: np.ndarray, min_segment: int, attribute: Attribute) -> np.ndarray:
-    """Two-sample statistic at every admissible split, for each row.
+    """A score at every admissible split, for each row, monotone in the two-sample statistic.
 
-    ``rows`` is (B, n). Split s (observations on the left) runs over
-    min_segment .. n - min_segment; the result is (B, n - 2*min_segment + 1).
-    Degenerate splits map to 0 (mean) or 1 (variance) when both sides are
-    flat, and to +inf when only one side is.
+    ``rows`` is (B, n); for the mean they must already be centred on the
+    window mean, while the variance scan centres each row itself. Split s
+    (observations on the left) runs over min_segment .. n - min_segment;
+    the result is (B, n - 2*min_segment + 1).
+
+    The mean score is u = S^2 / (n_l * n_r), S the left sum, an increasing
+    function of the pooled t-statistic (0 when the window is flat). The
+    variance score is the variance ratio F itself: 1 when both sides are
+    flat and +inf when only one side is.
     """
     return _scan(rows, min_segment, attribute, _split_sizes(rows.shape[1], min_segment))
 
@@ -179,9 +211,24 @@ def _scan(
 ) -> np.ndarray:
     """``_scan_profile`` with the window's ``_split_sizes`` computed once by the caller."""
     _, n = rows.shape
-    n_l, n_r, inv_sizes = sizes
+    if attribute is Attribute.MEAN:
+        _, _, inv_prod = sizes
+        left = np.cumsum(rows, axis=1)[:, min_segment - 1 : n - min_segment]
+        u = left * left
+        u *= inv_prod
+        return u
+    var_l, var_r, _ = _side_variances(rows, min_segment, sizes)
+    return _variance_ratio(var_l, var_r)
+
+
+def _side_variances(
+    rows: np.ndarray, min_segment: int, sizes: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unbiased variances left and right of every split, and each row's centred sum of squares."""
+    _, n = rows.shape
+    n_l, n_r, _ = sizes
     # Centering per row improves conditioning of the sum-of-squares update
-    # and leaves both statistics unchanged.
+    # and leaves the statistic unchanged.
     rows = rows - rows.mean(axis=1, keepdims=True)
     cs = np.cumsum(rows, axis=1)
     cq = np.cumsum(rows * rows, axis=1)
@@ -191,23 +238,130 @@ def _scan(
     sq_l = cq[:, min_segment - 1 : n - min_segment]
     sse_l = np.maximum(sq_l - sum_l * sum_l / n_l, 0.0)
     sse_r = np.maximum((totq - sq_l) - (tot - sum_l) ** 2 / n_r, 0.0)
-    if attribute is Attribute.MEAN:
-        diff = np.abs(sum_l / n_l - (tot - sum_l) / n_r)
-        se = np.sqrt((sse_l + sse_r) / (n - 2) * inv_sizes)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stat = diff / se
-        flat = se == 0.0
-        stat[flat] = np.where(diff[flat] > 0.0, np.inf, 0.0)
-    else:
-        var_l = sse_l / (n_l - 1.0)
-        var_r = sse_r / (n_r - 1.0)
-        hi = np.maximum(var_l, var_r)
-        lo = np.minimum(var_l, var_r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stat = hi / lo
-        flat = lo == 0.0
-        stat[flat] = np.where(hi[flat] > 0.0, np.inf, 1.0)
+    return sse_l / (n_l - 1.0), sse_r / (n_r - 1.0), totq
+
+
+def _variance_ratio(var_l: np.ndarray, var_r: np.ndarray) -> np.ndarray:
+    """Larger over smaller variance: 1 when both are 0, +inf when only one is."""
+    hi = np.maximum(var_l, var_r)
+    lo = np.minimum(var_l, var_r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = hi / lo
+    flat = lo == 0.0
+    stat[flat] = np.where(hi[flat] > 0.0, np.inf, 1.0)
     return stat
+
+
+# Rounding bands. With unit roundoff 2^-53, a sum of k terms computed in
+# any order is off by at most gamma(k) times the sum of their magnitudes
+# (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1).
+# The bands below are built from such bounds, taken generously, and every
+# float bound is stepped one ulp outwards so that its own rounding cannot
+# shrink it.
+def _gamma(k: int) -> float:
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+def _mean_band(c: np.ndarray, min_segment: int) -> float:
+    """Bound on |u - U| over every split of every permutation of the centred window ``c``.
+
+    u is the float score of the mean scan and U the exact score of the
+    window before centring. Let A be the sum of |c|. A float left sum is off
+    the exactly centred one by at most e = 2 gamma(n) A + |sum of c| (the
+    cumulative sum, the rounding of c, and the offset of the float mean);
+    both are at most A + e in magnitude, and the square and the product
+    add gamma(3) u. The smallest n_l * n_r, min_segment * (n - min_segment),
+    divides the whole, and the last term covers underflow.
+    """
+    n = c.size
+    a = float(np.abs(c).sum()) * (1.0 + _gamma(2 * n))
+    e = (2.0 * _gamma(n) * a + abs(float(c.sum()))) * (1.0 + _gamma(n))
+    big = a * (1.0 + _gamma(n)) + e
+    band = (2.0 * e * big + _gamma(3) * big * big) / (min_segment * (n - min_segment))
+    return band * (1.0 + 2.0**-20) + 2.0**-1070
+
+
+# A variance split is resolved when its smaller side variance exceeds
+# _VARIANCE_MARGIN times the worst-case rounding error of a side variance
+# (_variance_floor). Both variances are then within a relative 2^-20, plus
+# one rounding, of their exact values, and F within _VARIANCE_BAND of its
+# exact value. An unresolved split, a flat side among them, keeps its
+# float ratio as its score, as the full permutation test computes it.
+_VARIANCE_MARGIN = 2.0**20
+_VARIANCE_BAND = 4.0 / _VARIANCE_MARGIN
+
+
+def _variance_floor(n: int, min_segment: int) -> float:
+    """Factor on a row's sum of squares Q below which a side variance is unresolved.
+
+    Over every split of a centred row, the cumulative sums misplace a side's
+    sum of squared deviations by at most 4 gamma(2n + 8) (1 + sqrt(n /
+    min_segment)) Q, the squared-sum term bounded by Cauchy-Schwarz, and a
+    variance divides that by at least min_segment - 1. The factor 5 also
+    covers the rounding of Q itself.
+    """
+    err = 5.0 * _gamma(2 * n + 8) * (1.0 + math.sqrt(n / min_segment)) / (min_segment - 1)
+    return err * _VARIANCE_MARGIN
+
+
+def _bounds(stat: np.ndarray, attribute: Attribute, band: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the exact scores of the float scores ``stat``."""
+    if attribute is Attribute.MEAN:
+        return np.nextafter(stat - band, -np.inf), np.nextafter(stat + band, np.inf)
+    # An infinite ratio is unresolved, so it is its own score.
+    low = np.where(np.isinf(stat), np.inf, np.nextafter(stat * (1.0 - band), -np.inf))
+    return low, np.nextafter(stat * (1.0 + band), np.inf)
+
+
+def _as_ints(v: np.ndarray) -> list[int]:
+    """Integers z with v = z * 2^-k exactly, where k depends only on the set of values in ``v``."""
+    frac, e = np.frexp(v)
+    nonzero = frac != 0.0
+    low = int(e[nonzero].min()) if nonzero.any() else 0
+    shift = np.where(nonzero, e - low, 0)
+    mantissa = np.ldexp(frac, 53).astype(np.int64)  # exact: 53 significant bits
+    return [z << s for z, s in zip(mantissa.tolist(), shift.tolist())]
+
+
+def _exact_scores(
+    row: np.ndarray, splits: np.ndarray, min_segment: int, attribute: Attribute, stat: np.ndarray
+) -> list[tuple[int, int]]:
+    """Scores of ``row`` (uncentred) at ``splits``, as fractions (num, den) with den = 0 for +inf.
+
+    Scores are comparable between permutations of one window. The mean
+    score is exact: (n L - s T)^2 / (n_l n_r) for the integer left sum L and
+    total T of ``_as_ints``, which is S*^2 / (n_l n_r) times a factor shared
+    by every permutation, S* the left sum of the exactly centred row. The
+    variance score is the exact F at resolved splits, and elsewhere the
+    float ratio in ``stat``, the row's scan profile.
+    """
+    ints = _as_ints(row)
+    n = len(ints)
+    splits = splits.tolist()
+    left = [0, *itertools.accumulate(ints)]
+    total = left[n]
+    if attribute is Attribute.MEAN:
+        return [((n * left[s] - s * total) ** 2, s * (n - s)) for s in splits]
+    var_l, var_r, totq = _side_variances(row[np.newaxis, :], min_segment, _split_sizes(n, min_segment))
+    resolved = (np.minimum(var_l, var_r) > _variance_floor(n, min_segment) * totq)[0]
+    sq = [0, *itertools.accumulate(z * z for z in ints)]
+    out = []
+    for s in splits:
+        j = s - min_segment
+        if not resolved[j]:
+            out.append((1, 0) if stat[j] == math.inf else float(stat[j]).as_integer_ratio())
+            continue
+        r = n - s
+        # Per side, n_l * (sum of squares) - sum^2 = n_l (n_l - 1) var_l, and so on.
+        x = (s * sq[s] - left[s] ** 2) * r * (r - 1)
+        y = (r * (sq[n] - sq[s]) - (total - left[s]) ** 2) * s * (s - 1)
+        out.append((max(x, y), min(x, y)))
+    return out
+
+
+def _at_least(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """a >= b for fractions (num, den) with den >= 0, den = 0 meaning +inf."""
+    return a[0] * b[1] >= b[0] * a[1]
 
 
 def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangePointSet:
@@ -225,6 +379,7 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
     x = series.values
     n = x.size
     ms = params.min_segment
+    attribute = params.attribute
     if n < 2 * ms:
         raise SeriesTooShort(
             f"series {series.id!r}: {n} observations < 2 * min_segment = {2 * ms}"
@@ -235,6 +390,9 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
     # <= significance, found with that exact expression so that rounding
     # cannot move the boundary. Exceedances only grow as permutations run.
     limit = bisect.bisect_right(range(b + 1), params.significance, key=lambda k: (1 + k) / (b + 1)) - 1
+    # The mean scan takes rows centred on the window mean; the variance scan
+    # centres each row itself.
+    mean = attribute is Attribute.MEAN
 
     windows = [(0, n)]
     while windows:
@@ -242,9 +400,22 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         if hi - lo < 2 * ms:
             continue
         w, _ = _unit_scaled(x[lo:hi])
-        profile = _scan_profile(w[np.newaxis, :], ms, params.attribute)[0]
-        best = int(np.argmax(profile))  # first occurrence: smallest split on ties
-        observed = profile[best]
+        m = w.mean() if mean else 0.0
+        c = w - m if mean else w
+        band = _mean_band(c, ms) if mean else _VARIANCE_BAND
+        profile = _scan_profile(c[np.newaxis, :], ms, attribute)[0]
+        low, high = _bounds(profile, attribute, band)
+        near = np.flatnonzero(high >= low.max())  # the splits that may hold the exact maximum
+        best = int(near[0])
+        target = None  # the exact observed score, once needed
+        if near.size > 1:
+            scores = _exact_scores(w, near + ms, ms, attribute, profile)
+            i = 0
+            for j in range(1, len(scores)):
+                if not _at_least(scores[i], scores[j]):  # later splits win only strictly
+                    i = j
+            best, target = int(near[i]), scores[i]
+        low_obs, high_obs = low[best], high[best]
         sizes = _split_sizes(w.size, ms)
         max_rows = max(1, _BLOCK_CELLS // w.size)
         rng = _window_rng(params.seed, lo, hi)
@@ -257,8 +428,16 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
             take = min(rows, max_rows, b - done - (limit - exceed))
             block = np.tile(w, (take, 1))
             rng.permuted(block, axis=1, out=block)
-            perm_max = _scan(block, ms, params.attribute, sizes).max(axis=1)
-            exceed += int(np.count_nonzero(perm_max >= observed))
+            stats = _scan(block - m if mean else block, ms, attribute, sizes)
+            low, high = _bounds(stats.max(axis=1), attribute, band)
+            exceed += int(np.count_nonzero(low >= high_obs))
+            # Rows whose maximum may tie the observed score: decided exactly.
+            for r in np.flatnonzero((low < high_obs) & (high >= low_obs)):
+                if target is None:
+                    target = _exact_scores(w, np.array([best + ms]), ms, attribute, profile)[0]
+                splits = np.flatnonzero(_bounds(stats[r], attribute, band)[1] >= low_obs) + ms
+                scores = _exact_scores(block[r], splits, ms, attribute, stats[r])
+                exceed += any(_at_least(s, target) for s in scores)
             done += take
             rows *= 2
         if exceed <= limit:

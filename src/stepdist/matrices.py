@@ -15,6 +15,7 @@ evaluation order. The step-function rows come from the batched kernels in
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -225,13 +226,19 @@ def write_matrix_csv(m: LabeledSquareMatrix, path) -> None:
     """Header row of labels, then one row per label: label,v1,...,vn.
 
     Values are rendered with repr so the decimal text round-trips to the
-    exact same doubles.
+    exact same doubles. The values of a row are joined in one piece, since
+    no float's repr needs csv quoting; labels go through the csv writer.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(m.labels)
+        csv.writer(fh).writerow(m.labels)
+        field = io.StringIO()
+        quoting = csv.writer(field)
         for label, row in zip(m.labels, m.entries):
-            w.writerow([label, *[repr(float(v)) for v in row]])
+            # The writer quotes the label as in a full row, then "," and "\r\n".
+            quoting.writerow([label, ""])
+            fh.write(field.getvalue()[:-2] + ",".join(map(repr, row.tolist())) + "\r\n")
+            field.seek(0)
+            field.truncate()
 
 
 def read_matrix_csv(path, kind: MatrixKind) -> LabeledSquareMatrix:

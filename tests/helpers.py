@@ -8,7 +8,9 @@ closed-form implementations.
 
 from __future__ import annotations
 
+import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -168,6 +170,15 @@ def full_permutation_detector(
     return tuple(sorted(found))
 
 
+def reference_write_matrix_csv(m, path) -> None:
+    """The matrix CSV writer before whole-row rendering, kept verbatim: one repr per value."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(m.labels)
+        for label, row in zip(m.labels, m.entries):
+            w.writerow([label, *[repr(float(v)) for v in row]])
+
+
 # --- The pairwise layer before row batching, kept verbatim -----------------
 # Per-pair merged partitions, one fsum per pair, and the O(N^3) pure-Python
 # agglomeration. The batched kernels and the vectorised linkage must agree
@@ -283,3 +294,95 @@ def reference_hierarchical_cluster(entries: np.ndarray, linkage: str) -> tuple:
             dist[m, new] = v
         active.append(new)
     return tuple(merges)
+
+
+def _exact_split_stats(z: list[int], min_segment: int, attribute: str) -> list[tuple[int, int]]:
+    """t^2 (mean) or the variance ratio F at every admissible split of the integers ``z``.
+
+    Each statistic is a fraction (num, den) with den >= 0, and den = 0
+    stands for +inf. Written from the textbook definitions: pooled
+    t^2 = (mean_l - mean_r)^2 / (s_p^2 (1/n_l + 1/n_r)) with
+    s_p^2 = (SSE_l + SSE_r) / (n - 2), and F = max(var_l, var_r) / min(...),
+    where SSE = sum of squares - sum^2 / size. Flat sides follow the
+    detector's conventions: t = +inf (or 0 with equal means) when both
+    sides are flat; F = +inf when one side is flat and 1 when both are.
+    """
+    n = len(z)
+    pre = [0]
+    pre_sq = [0]
+    for v in z:
+        pre.append(pre[-1] + v)
+        pre_sq.append(pre_sq[-1] + v * v)
+    out = []
+    for s in range(min_segment, n - min_segment + 1):
+        r = n - s
+        sum_l, sum_r = pre[s], pre[n] - pre[s]
+        # size * SSE per side, an integer.
+        sse_l = s * pre_sq[s] - sum_l * sum_l
+        sse_r = r * (pre_sq[n] - pre_sq[s]) - sum_r * sum_r
+        if attribute == "mean":
+            # (mean_l - mean_r)^2 = diff^2 / (s r)^2 and SSE_l + SSE_r = pooled / (s r).
+            diff = r * sum_l - s * sum_r
+            pooled = r * sse_l + s * sse_r
+            if pooled == 0:
+                out.append((1, 0) if diff else (0, 1))
+            else:
+                out.append((diff * diff * (n - 2), pooled * n))
+        else:
+            var_l = sse_l * r * (r - 1)  # var_l and var_r times s r (s - 1) (r - 1)
+            var_r = sse_r * s * (s - 1)
+            hi, lo = max(var_l, var_r), min(var_l, var_r)
+            out.append((1, 1) if hi == 0 else (hi, lo))
+    return out
+
+
+def _fraction_ge(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return a[0] * b[1] >= b[0] * a[1]
+
+
+def exact_permutation_detector(
+    x: np.ndarray, attribute: str, significance: float, min_segment: int, permutations: int, seed: int
+) -> tuple[int, ...]:
+    """``full_permutation_detector`` with every statistic an exact fraction.
+
+    The same windows, permutation stream and p-value (1 + exceed) / (B + 1),
+    but t^2 and F are compared exactly: a permutation whose maximal
+    statistic equals the observed one counts as an exceedance, and the
+    observed split is the smallest of the exact maxima. The values must be
+    finite; they are converted to integers over a common denominator.
+    """
+    ratios = [Fraction(v) for v in np.asarray(x, dtype=float).tolist()]
+    den = math.lcm(*(q.denominator for q in ratios))
+    z = np.array([int(q * den) for q in ratios], dtype=object)
+    n = z.size
+    ms = min_segment
+    found: list[int] = []
+
+    def row_max(stats):
+        best = 0
+        for i in range(1, len(stats)):
+            if not _fraction_ge(stats[best], stats[i]):
+                best = i
+        return best, stats[best]
+
+    def recurse(lo: int, hi: int) -> None:
+        if hi - lo < 2 * ms:
+            return
+        w = z[lo:hi]
+        best, observed = row_max(_exact_split_stats(w.tolist(), ms, attribute))
+        # Permute positions with the detector's stream: rng.permuted shuffles
+        # every row independently of its values.
+        order = np.tile(np.arange(w.size), (permutations, 1))
+        rng = np.random.default_rng(np.random.SeedSequence([seed % (2**63), lo, hi]))
+        rng.permuted(order, axis=1, out=order)
+        exceed = sum(
+            _fraction_ge(row_max(_exact_split_stats(w[p].tolist(), ms, attribute))[1], observed) for p in order
+        )
+        if (1 + exceed) / (permutations + 1) <= significance:
+            cp = lo + ms + best
+            found.append(cp)
+            recurse(lo, cp)
+            recurse(cp, hi)
+
+    recurse(0, n)
+    return tuple(sorted(found))

@@ -18,7 +18,13 @@ from stepdist.cli import main
 from stepdist.errors import DegenerateSegment, SeriesTooShort
 from stepdist.synthetic import benchmark_suite
 
-from tests.helpers import f_scan_oracle, full_permutation_detector, t_scan_oracle
+from tests.helpers import (
+    _full_scan_profile,
+    exact_permutation_detector,
+    f_scan_oracle,
+    full_permutation_detector,
+    t_scan_oracle,
+)
 
 
 def jump_series(rng, n=400, at=200, size=10.0, sigma=1.0, sid="x"):
@@ -248,6 +254,90 @@ class TestSequentialCalibration:
         assert sum(top) == params.permutations - 9
         assert top[0] == changepoint_module._FIRST_BLOCK_ROWS
         assert all(r * n <= changepoint_module._BLOCK_CELLS for r, n in blocks)
+
+
+class TestExactTies:
+    """Ties count as exceedances and are decided exactly, under both attributes."""
+
+    def test_tied_mean_permutations_count(self):
+        # Exact t^2: 13 of 199 permutations reach the observed maximum, 4 of
+        # them with a tie, so p = 0.07. Dropping the 4 ties to rounding gives
+        # p = 0.05 and the split (12,).
+        ts = TimeSeries("t", [1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 2, 2, 1])
+        assert detect_change_points(ts, DetectionParams(min_segment=2, seed=838)).points == ()
+
+    def test_tied_variance_permutations_count(self):
+        # Exact F: 22 exceedances, 4 of them ties (p = 0.115 > 0.1). Dropping
+        # 3 of the ties to rounding gives p = 0.1 and the split (5,).
+        x = [2, 1, 1, 1, 1, 0, 0, 2, 2, 1, 0, 0, 2, 2, 1, 0, 0, 1, 0]
+        params = DetectionParams(attribute=Attribute.VARIANCE, min_segment=4, significance=0.1, seed=105)
+        assert detect_change_points(TimeSeries("v", x), params).points == ()
+
+    def test_tied_observed_splits_take_the_smallest(self):
+        # A palindrome: t at split s equals t at n - s exactly, and the
+        # maximum sits at both 11 and 21. Neither half can split again.
+        x = [7, 5, 7, 6, 6, 5, 5, 6, 5, 5, 4, 2, 2, 0, 2, 1, 1, 2, 0, 2, 2, 4, 5, 5, 6, 5, 5, 6, 6, 7, 5, 7]
+        assert x == x[::-1]
+        assert detect_change_points(TimeSeries("p", x), DetectionParams(min_segment=11)).points == (11,)
+
+    @pytest.mark.parametrize("attribute", list(Attribute))
+    def test_integer_data_matches_exact_oracle(self, attribute, monkeypatch):
+        decided_exactly = []
+        real = changepoint_module._exact_scores
+
+        def recording(*args):
+            decided_exactly.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(changepoint_module, "_exact_scores", recording)
+        for seed in range(120):
+            rng = np.random.default_rng((59, seed))
+            n = int(rng.integers(12, 81))
+            significance = float(rng.choice([0.05, 0.1, 0.2, 0.5]))
+            if attribute is Attribute.MEAN:
+                ms = int(rng.integers(2, 5))
+                # An offset far above the spread puts the rounding of the
+                # float scores well beyond one ulp.
+                x = rng.integers(0, 3, n) + (1e6 if seed % 2 else 0.0)
+            else:
+                # No value occurs min_segment times, so no side of any
+                # permutation is flat. A side variance within rounding of zero
+                # keeps its float ratio, as the full permutation test has it
+                # (test_flat_windows_match_full_test), so flat sides are left out.
+                ms = -(-n // 8) + 1
+                x = rng.permutation(np.repeat(np.arange(8), ms - 1))[:n]
+            params = DetectionParams(
+                attribute=attribute, significance=significance, min_segment=ms, permutations=199, seed=seed
+            )
+            expected = exact_permutation_detector(x, attribute.value, significance, ms, 199, seed)
+            assert detect_change_points(TimeSeries("z", x), params).points == expected, seed
+        assert decided_exactly  # the cases reach the exact re-decision
+
+    def test_mean_score_is_monotone_in_t(self):
+        for seed in range(40):
+            rng = np.random.default_rng((61, seed))
+            n = int(rng.integers(20, 400))
+            ms = int(rng.integers(2, n // 4))
+            x = rng.standard_normal(n) * rng.uniform(0.1, 10.0) + rng.normal(0.0, 5.0)
+            x[int(rng.integers(ms, n - ms)) :] += rng.normal(0.0, 3.0)
+            c = x - x.mean()
+            u = changepoint_module._scan_profile(c[np.newaxis, :], ms, Attribute.MEAN)[0]
+            assert int(np.argmax(u)) + ms == t_scan_oracle(x, ms)
+            v = n * u / np.sum(c * c)
+            t = np.sqrt((n - 2) * v / (1.0 - v))
+            full = _full_scan_profile(x[np.newaxis, :], ms, "mean")[0]
+            # Relative to the profile's scale: both scans round a left sum
+            # near zero to a few ulps of the window's magnitude.
+            np.testing.assert_allclose(t, full, rtol=1e-12, atol=1e-12 * full.max())
+        # Two flat halves: v = 1 exactly at the true split, where t = +inf.
+        c = np.r_[np.full(8, -1.0), np.full(8, 1.0)]
+        u = changepoint_module._scan_profile(c[np.newaxis, :], 2, Attribute.MEAN)[0]
+        v = 16 * u / np.sum(c * c)
+        assert v[8 - 2] == 1.0
+        with np.errstate(divide="ignore"):
+            t = np.sqrt(14 * v / (1.0 - v))
+        np.testing.assert_allclose(t, _full_scan_profile(c[np.newaxis, :], 2, "mean")[0], rtol=1e-12)
+        assert t[8 - 2] == np.inf
 
 
 # Every power of two from the smallest subnormal to the largest normal double:

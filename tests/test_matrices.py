@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from stepdist import (
 )
 from stepdist.errors import LabelMismatch, ZeroFunction
 
-from tests.helpers import random_step_function
+from tests.helpers import random_step_function, reference_write_matrix_csv
 
 
 def random_collection(rng, n, h=1.0):
@@ -234,6 +235,24 @@ class TestCsv:
             back = read_matrix_csv(path, m.kind)
             assert back.labels == m.labels
             assert np.array_equal(back.entries, m.entries)
+
+    def test_bytes_match_per_value_writer(self, tmp_path):
+        # The writer reads only labels and entries; a stand-in carries inf,
+        # which LabeledSquareMatrix rejects, to cover every float repr form.
+        entries = np.array(
+            [
+                [0.0, math.inf, -0.0, 5e-324, 1e300],
+                [math.inf, 0.0, 0.1, -2.5e-310, 1.0],
+                [-0.0, 0.1, 0.0, 123456789.0, -1e-5],
+                [5e-324, -2.5e-310, 123456789.0, 0.0, 1e16],
+                [1e300, 1.0, -1e-5, 1e16, 0.0],
+            ]
+        )
+        for labels in (("a", "b,c", 'say "hi"', "two\nlines", "é"), ("", "x", "y", "z", " w ")):
+            m = SimpleNamespace(labels=labels, entries=entries)
+            write_matrix_csv(m, tmp_path / "rows.csv")
+            reference_write_matrix_csv(m, tmp_path / "values.csv")
+            assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
 
 
 def test_random_collections_satisfy_kind_invariants():
