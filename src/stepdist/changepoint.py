@@ -97,6 +97,17 @@ class TimeSeries:
         return self.values.size - 1
 
 
+def _integral(p) -> int:
+    """p as an int; integral floats and numpy ints pass, nan, inf and fractions do not."""
+    try:
+        i = int(p)
+    except (OverflowError, ValueError):
+        i = None
+    if i is None or i != p:
+        raise ValueError(f"change points must be integers, got {p!r}")
+    return i
+
+
 @dataclass(frozen=True)
 class ChangePointSet:
     """Strictly increasing interior change-point indices."""
@@ -104,7 +115,7 @@ class ChangePointSet:
     points: tuple[int, ...]
 
     def __post_init__(self):
-        pts = tuple(int(p) for p in self.points)
+        pts = tuple(_integral(p) for p in self.points)
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError(f"change points must be strictly increasing, got {pts}")
         if pts and pts[0] <= 0:

@@ -428,6 +428,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             ChangePointSet((3, 3))
 
+    @pytest.mark.parametrize("bad", [2.7, 2.5, np.float64(4.000001), np.nan, np.inf, -np.inf])
+    def test_change_points_must_be_integral(self, bad):
+        # Fractional points used to be truncated silently: (2.7, 5.0) gave (2, 5).
+        with pytest.raises(ValueError, match="must be integers"):
+            ChangePointSet((bad, 10.0))
+
+    def test_integral_floats_and_numpy_ints_accepted(self):
+        pts = ChangePointSet((2.0, np.int64(5), np.float32(7.0), np.uint8(9))).points
+        assert pts == (2, 5, 7, 9)
+        assert all(type(p) is int for p in pts)
+        assert ChangePointSet(p for p in (1, 4)).points == (1, 4)
+
     def test_significance_range(self):
         with pytest.raises(ValueError):
             DetectionParams(significance=1.5)

@@ -3,8 +3,8 @@
 Row-batched distance and alignment matrices, the scalar L^p calls built on
 the same kernel, and the vectorised linkage must reproduce the per-pair
 loops of ``tests/helpers`` bit for bit (compared as raw bytes, so even
-the sign of a zero counts). The break-set metrics, which read one point
-table per pair, must reproduce the two-table code they replaced.
+the sign of a zero counts). The break-set metrics, exact integer kernels,
+must reproduce the per-direction float table code they replaced.
 """
 
 import math

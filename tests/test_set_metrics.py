@@ -6,6 +6,8 @@ import pytest
 from stepdist import ChangePointSet, hausdorff, mj_semi_metric, modified_hausdorff
 from stepdist.errors import EmptySet
 
+from tests.test_exactness import reference_set_metrics, same_bits
+
 # Index sets are shifted to positive values because change points are
 # interior indices; all three metrics are translation invariant.
 
@@ -29,6 +31,52 @@ class TestHausdorff:
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySet):
             hausdorff(cps(), cps(1))
+
+
+@pytest.mark.parametrize("metric", [hausdorff, modified_hausdorff, mj_semi_metric])
+@pytest.mark.parametrize("s, t", [((), (1, 5)), ((1, 5), ()), ((), ())])
+def test_empty_set_rejected_by_every_metric(metric, s, t):
+    with pytest.raises(EmptySet):
+        metric(cps(*s), cps(*t))
+
+
+def wide_pairs():
+    """Hand-made edge cases, then random pairs of up to 400 points.
+
+    Sizes cross numpy's pairwise-summation blocks at 8 and 128, which the
+    table-based reference sums with.
+    """
+    pairs = [
+        ((5,), (3, 7)),  # 5 is equidistant from both neighbours
+        ((4, 10, 16), (7, 13)),  # every point between two neighbours is equidistant from them
+        ((1, 2, 100, 200), (50, 60)),  # S before the first and after the last point of T
+        ((7,), (7,)),
+        ((7,), (20,)),
+        ((3, 9, 27), (3, 9, 27)),
+    ]
+    rng = np.random.default_rng(12)
+    for size_s, size_t in [(1, 400), (8, 9), (127, 129), (128, 128), (255, 3), (400, 400)]:
+        s, t = (tuple(np.sort(rng.choice(5000, k, replace=False)) + 1) for k in (size_s, size_t))
+        pairs += [(s, t), (s, s)]
+    for _ in range(30):
+        s, t = (tuple(np.sort(rng.choice(2000, rng.integers(1, 401), replace=False)) + 1) for _ in "st")
+        pairs.append((s, t))
+    return [(cps(*s), cps(*t)) for s, t in pairs]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_exact_kernel_matches_table_reference_on_wide_sets(p):
+    for s, t in wide_pairs():
+        got = (hausdorff(s, t), modified_hausdorff(s, t), mj_semi_metric(s, t, p))
+        assert same_bits(got, reference_set_metrics(s, t, p)), (s, t)
+        assert all(type(v) is float for v in got)
+
+
+def test_exact_kernel_p_inf_matches_reference_hausdorff():
+    for s, t in wide_pairs():
+        h = reference_set_metrics(s, t, 1.0)[0]
+        assert same_bits(mj_semi_metric(s, t, math.inf), h)
+        assert same_bits(mj_semi_metric(t, s, math.inf), h)
 
 
 class TestModifiedHausdorff:
