@@ -49,11 +49,20 @@ full permutation test computes there.
 Everything is deterministic: the permutation stream for a window is
 derived from ``(seed, window start, window end)``, so results do not
 depend on the order windows are tested in and are reproducible bit-for-bit.
+The whole-series window (0, n) draws the same stream for every series of
+a collection, as they all have length n, so its permutations are drawn
+once per series length, seed and permutation count, as rows of indices
+that each series gathers its values through. A shuffle's draws depend
+only on the row length, so every gathered row is the row the window's own
+stream would permute, and results are unchanged. The index table is
+shared up to 2^21 cells (4 MiB as uint16); a longer whole-series window
+permutes its values like every other window.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -189,6 +198,24 @@ def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _window_rng(seed: int, lo: int, hi: int) -> np.random.Generator:
     # Window-addressed stream: results are independent of the order windows are tested in.
     return np.random.default_rng(np.random.SeedSequence([seed % (2**63), lo, hi]))
+
+
+# The whole-series window shares one index table per (seed, n, b) while
+# b * n <= _SHARED_CELLS; one entry is kept, as a run reads one collection.
+_SHARED_CELLS = 2**21
+
+
+@functools.lru_cache(maxsize=1)
+def _whole_window_permutations(seed: int, n: int, b: int) -> np.ndarray:
+    """The ``b`` permutation rows of window (0, n) as read-only indices in the smallest unsigned dtype.
+
+    Row r permutes 0..n-1 exactly as row r of ``_window_rng(seed, 0, n)``
+    permutes the window's values, so ``values[table[r]]`` is that row.
+    """
+    table = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (b, 1))
+    _window_rng(seed, 0, n).permuted(table, axis=1, out=table)
+    table.flags.writeable = False
+    return table
 
 
 def _split_sizes(n: int, min_segment: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -429,7 +456,10 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         low_obs, high_obs = low[best], high[best]
         sizes = _split_sizes(w.size, ms)
         max_rows = max(1, _BLOCK_CELLS // w.size)
-        rng = _window_rng(params.seed, lo, hi)
+        if hi - lo == n and b * n <= _SHARED_CELLS:
+            table, rng = _whole_window_permutations(params.seed, n, b), None
+        else:
+            table, rng = None, _window_rng(params.seed, lo, hi)
         exceed = done = 0
         rows = _FIRST_BLOCK_ROWS
         # Past the limit the split is rejected; once the permutations left
@@ -437,8 +467,11 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         while exceed <= limit and exceed + (b - done) > limit:
             # A block ends where acceptance becomes certain if it adds no exceedance.
             take = min(rows, max_rows, b - done - (limit - exceed))
-            block = np.tile(w, (take, 1))
-            rng.permuted(block, axis=1, out=block)
+            if table is None:
+                block = np.tile(w, (take, 1))
+                rng.permuted(block, axis=1, out=block)
+            else:
+                block = w.take(table[done : done + take])
             stats = _scan(block - m if mean else block, ms, attribute, sizes)
             low, high = _bounds(stats.max(axis=1), attribute, band)
             exceed += int(np.count_nonzero(low >= high_obs))

@@ -63,20 +63,22 @@ def geo_distance_matrix(stations: list[StationMetadata]) -> LabeledSquareMatrix:
 def read_stations_csv(path) -> list[StationMetadata]:
     """Parse a station metadata CSV with header id,lat_deg,lon_deg."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != ["id", "lat_deg", "lon_deg"]:
+        reader = csv.reader(fh)
+        # Each row with its line in the file, which error messages name; blank lines are dropped.
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows or [c.strip() for c in rows[0][1]] != ["id", "lat_deg", "lon_deg"]:
         raise UnparseableCell(f"{path}: expected header 'id,lat_deg,lon_deg'")
     out = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise UnparseableCell(f"{path}: malformed station row {row}")
+    for line, row in rows[1:]:
         try:
-            lat, lon = float(row[1]), float(row[2])
+            sid, lat, lon = row
+            lat, lon = float(lat), float(lon)
         except ValueError:
-            raise UnparseableCell(f"{path}: malformed station row {row}") from None
-        out.append(StationMetadata(row[0].strip(), lat, lon))
+            raise UnparseableCell(f"{path}: row {line}: malformed station row {row}") from None
+        try:
+            out.append(StationMetadata(sid.strip(), lat, lon))
+        except InvalidCoordinate as e:
+            raise InvalidCoordinate(f"{path}: row {line}: {e}") from None
     _unique_ids(out, f"{path}: ")
     return out
 

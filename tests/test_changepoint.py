@@ -218,16 +218,22 @@ class TestSequentialCalibration:
         assert detect_change_points(ts, params).points == full_test(ts, params)
 
     def test_blockwise_permutation_equals_one_shot_stream(self):
-        w = np.random.default_rng(0).standard_normal(300)
-        one_shot = np.tile(w, (199, 1))
-        changepoint_module._window_rng(5, 0, 300).permuted(one_shot, axis=1, out=one_shot)
-        rng = changepoint_module._window_rng(5, 0, 300)
-        blocks = []
-        for rows in (16, 32, 64, 1, 3, 83):
-            block = np.tile(w, (rows, 1))
-            rng.permuted(block, axis=1, out=block)
-            blocks.append(block)
-        assert np.array_equal(np.vstack(blocks), one_shot)
+        for n, dtype in ((256, np.uint8), (300, np.uint16)):
+            w = np.random.default_rng(0).standard_normal(n)
+            one_shot = np.tile(w, (199, 1))
+            changepoint_module._window_rng(5, 0, n).permuted(one_shot, axis=1, out=one_shot)
+            rng = changepoint_module._window_rng(5, 0, n)
+            # The whole-series window gathers the same blocks from index rows drawn once.
+            table = changepoint_module._whole_window_permutations(5, n, 199)
+            assert table.dtype == dtype and not table.flags.writeable
+            blocks = []
+            for rows in (16, 32, 64, 1, 3, 83):
+                block = np.tile(w, (rows, 1))
+                rng.permuted(block, axis=1, out=block)
+                done = sum(len(b) for b in blocks)
+                assert np.array_equal(w[table[done : done + rows]], block)
+                blocks.append(block)
+            assert np.array_equal(np.vstack(blocks), one_shot)
 
     def test_stops_early_and_bounds_blocks(self, monkeypatch):
         blocks = []
@@ -254,6 +260,73 @@ class TestSequentialCalibration:
         assert sum(top) == params.permutations - 9
         assert top[0] == changepoint_module._FIRST_BLOCK_ROWS
         assert all(r * n <= changepoint_module._BLOCK_CELLS for r, n in blocks)
+
+
+def same_length_collection(kind, count=8):
+    """``count`` series of one length: mean shifts, variance shifts, or small integers that tie."""
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng((67, i))
+        if kind == "mean":
+            values = random_series(i, 300).values
+        elif kind == "variance":
+            values = rng.standard_normal(300) * np.repeat(rng.uniform(0.5, 4.0, 3), 100)
+        else:
+            values = rng.integers(0, 3, 60) + 1e6
+        out.append(TimeSeries(f"{kind}{i}", values))
+    return out
+
+
+SHARED_CASES = {
+    "mean": DetectionParams(min_segment=15, seed=3),
+    "variance": DetectionParams(attribute=Attribute.VARIANCE, min_segment=15, seed=4),
+    "integer": DetectionParams(min_segment=3, significance=0.2, seed=5),
+}
+
+
+class TestSharedWholeWindow:
+    """The whole-series window gathers its permutations from one index table per collection."""
+
+    @pytest.mark.parametrize("kind", list(SHARED_CASES))
+    def test_collection_matches_unshared_permutations(self, kind, monkeypatch):
+        params = SHARED_CASES[kind]
+        series = same_length_collection(kind)
+        decided = []
+        real = changepoint_module._exact_scores
+
+        def recording(row, *args):
+            decided.append(row.copy())
+            return real(row, *args)
+
+        monkeypatch.setattr(changepoint_module, "_exact_scores", recording)
+        shared = [detect_change_points(ts, params).points for ts in series]
+        shared_decided = decided.copy()
+        decided.clear()
+        monkeypatch.setattr(changepoint_module, "_SHARED_CELLS", 0)
+        assert [detect_change_points(ts, params).points for ts in series] == shared
+        assert len(decided) == len(shared_decided)
+        assert all(np.array_equal(a, b) for a, b in zip(decided, shared_decided))
+        assert any(shared)
+        if kind == "integer":
+            # Permuted rows of the whole window reach the exact re-decision.
+            observed = [changepoint_module._unit_scaled(ts.values)[0] for ts in series]
+            n = series[0].values.size
+            assert any(
+                row.size == n and not any(np.array_equal(row, o) for o in observed) for row in shared_decided
+            )
+
+    def test_collection_draws_the_table_once(self, monkeypatch):
+        draw = changepoint_module._whole_window_permutations
+        params = SHARED_CASES["mean"]
+        series = same_length_collection("mean")
+        cells = params.permutations * series[0].values.size
+        for cap, misses in ((cells, 1), (cells - 1, 0)):
+            monkeypatch.setattr(changepoint_module, "_SHARED_CELLS", cap)
+            draw.cache_clear()
+            for ts in series:
+                detect_change_points(ts, params)
+            info = draw.cache_info()
+            assert (info.misses, info.hits) == (misses, misses * (len(series) - 1))
 
 
 class TestExactTies:

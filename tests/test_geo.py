@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,4 +96,20 @@ class TestStationCsv:
         path = tmp_path / "bad.csv"
         path.write_text(f"id,lat_deg,lon_deg\n{row}\n")
         with pytest.raises(UnparseableCell):
+            read_stations_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, error, detail",
+        [
+            ("b,x,3", UnparseableCell, "malformed station row ['b', 'x', '3']"),
+            ("b,0", UnparseableCell, "malformed station row ['b', '0']"),
+            ("b,100,3", InvalidCoordinate, "station 'b': latitude 100.0 out of [-90, 90]"),
+            ("b,0,-180", InvalidCoordinate, "station 'b': longitude -180.0 out of (-180, 180]"),
+        ],
+    )
+    def test_bad_row_error_names_file_and_line(self, tmp_path, row, error, detail):
+        # The blank line 3 counts: the bad row is line 4 of the file.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,lat_deg,lon_deg\na,0,0\n\n{row}\n")
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: row 4: {detail}')}$"):
             read_stations_csv(path)
