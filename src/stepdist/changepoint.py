@@ -28,7 +28,10 @@ u = S^2 / (n_l * n_r), where S is the left sum of the window centred
 once on its mean: t^2 = (n - 2) v / (1 - v) with v = n u / TSS. A
 permutation row then costs one cumulative sum, a square and a multiply.
 The variance scan computes the ratio F = max(var_l / var_r, var_r / var_l)
-of the side variances.
+of the side variances. It runs in place, in scratch space that the blocks
+of a window reuse, on blocks of at most 2^15 cells, so that its arrays stay
+in one core's L2 cache; it performs the operations of the plain expressions
+in the same order, so every score is unchanged.
 
 Ties count as exceedances, and they are decided exactly. Every float
 score lies within a proven rounding band of the exact one: an absolute
@@ -175,11 +178,20 @@ class DetectionParams:
 
 
 # Permutation rows are scanned in blocks: the first holds _FIRST_BLOCK_ROWS
-# rows and each next one twice as many, capped at _BLOCK_CELLS cells (rows x
-# window length). Short windows then make few scan calls, and the scan
-# temporaries of long windows stay cache-sized instead of B x n.
+# rows and each next one twice as many, capped at _BLOCK_CELLS[attribute]
+# cells (rows x window length), so short windows make few scan calls and no
+# window builds B x n arrays. Block sizes change no decision. The cap is set
+# per attribute by its working set, in float64 arrays of one block:
+# - variance: six (the block, the centred rows and their squares summed in
+#   place, two side variances and the ratio), 1.5 MiB at 2^15 cells, inside
+#   the 2 MiB L2 of one core of the 2-CPU Xeon measured. On `long_variance`
+#   (8 x 8000, seed 77) detection took 1.30, 1.13, 1.04, 1.05 and 1.13 s
+#   at caps 2^13 to 2^17 (medians of 5 rounds).
+# - mean: four (the block, the centred block, its cumulative sum and the
+#   scores), 4 MiB at 2^17 cells. No smaller mean cap has yet shown a gain
+#   over whole benchmark runs, so the mean keeps 2^17.
 _FIRST_BLOCK_ROWS = 16
-_BLOCK_CELLS = 2**17
+_BLOCK_CELLS = {Attribute.MEAN: 2**17, Attribute.VARIANCE: 2**15}
 
 
 def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +258,12 @@ def _scan(
     min_segment: int,
     attribute: Attribute,
     sizes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``_scan_profile`` with the window's ``_split_sizes`` computed once by the caller."""
+    """``_scan_profile`` with the window's ``_split_sizes`` computed once by the caller.
+
+    ``work`` is the variance scan's scratch space (``_side_variances``).
+    """
     _, n = rows.shape
     if attribute is Attribute.MEAN:
         _, _, inv_prod = sizes
@@ -255,38 +271,70 @@ def _scan(
         u = left * left
         u *= inv_prod
         return u
-    var_l, var_r, _ = _side_variances(rows, min_segment, sizes)
+    var_l, var_r, _ = _side_variances(rows, min_segment, sizes, work)
     return _variance_ratio(var_l, var_r)
 
 
 def _side_variances(
-    rows: np.ndarray, min_segment: int, sizes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    rows: np.ndarray,
+    min_segment: int,
+    sizes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unbiased variances left and right of every split, and each row's centred sum of squares."""
-    _, n = rows.shape
+    """Unbiased variances left and right of every split, and each row's centred sum of squares.
+
+    ``rows`` is only read. The two cumulative sums run in place over the
+    centred rows and their squares, and each side's sum of squared
+    deviations and variance is formed in one array, with the operations and
+    their order of the plain expressions sse_l = max(sq_l - sum_l^2 / n_l, 0)
+    and sse_r = max((totq - sq_l) - (tot - sum_l)^2 / n_r, 0). All four
+    arrays live in ``work``, scratch space of shape (4, >= rows.size) that
+    the blocks of a window reuse, so the variances are views into it; a
+    fresh one is allocated when it is None.
+    """
+    b, n = rows.shape
     n_l, n_r, _ = sizes
+    m = n_l.size
+    if work is None:
+        work = np.empty((4, b * n))
+    cs, cq = (work[k, : b * n].reshape(b, n) for k in (0, 1))
+    var_l, var_r = (work[k, : b * m].reshape(b, m) for k in (2, 3))
     # Centering per row improves conditioning of the sum-of-squares update
     # and leaves the statistic unchanged.
-    rows = rows - rows.mean(axis=1, keepdims=True)
-    cs = np.cumsum(rows, axis=1)
-    cq = np.cumsum(rows * rows, axis=1)
-    tot = cs[:, -1:]
-    totq = cq[:, -1:]
+    np.subtract(rows, rows.mean(axis=1, keepdims=True), out=cs)
+    np.multiply(cs, cs, out=cq)
+    np.cumsum(cs, axis=1, out=cs)
+    np.cumsum(cq, axis=1, out=cq)
+    # Copied out, so no later operation reads a column of the array it writes.
+    tot = cs[:, -1:].copy()
+    totq = cq[:, -1:].copy()
     sum_l = cs[:, min_segment - 1 : n - min_segment]
     sq_l = cq[:, min_segment - 1 : n - min_segment]
-    sse_l = np.maximum(sq_l - sum_l * sum_l / n_l, 0.0)
-    sse_r = np.maximum((totq - sq_l) - (tot - sum_l) ** 2 / n_r, 0.0)
-    return sse_l / (n_l - 1.0), sse_r / (n_r - 1.0), totq
+    np.multiply(sum_l, sum_l, out=var_l)
+    var_l /= n_l
+    np.subtract(sq_l, var_l, out=var_l)
+    np.maximum(var_l, 0.0, out=var_l)
+    var_l /= n_l - 1.0
+    np.subtract(tot, sum_l, out=var_r)
+    np.multiply(var_r, var_r, out=var_r)
+    var_r /= n_r
+    np.subtract(totq, sq_l, out=sq_l)
+    np.subtract(sq_l, var_r, out=var_r)
+    np.maximum(var_r, 0.0, out=var_r)
+    var_r /= n_r - 1.0
+    return var_l, var_r, totq
 
 
 def _variance_ratio(var_l: np.ndarray, var_r: np.ndarray) -> np.ndarray:
-    """Larger over smaller variance: 1 when both are 0, +inf when only one is."""
-    hi = np.maximum(var_l, var_r)
-    lo = np.minimum(var_l, var_r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stat = hi / lo
+    """Larger over smaller variance: 1 when both are 0, +inf when only one is. Overwrites ``var_l``."""
+    stat = np.maximum(var_l, var_r)
+    lo = np.minimum(var_l, var_r, out=var_l)
     flat = lo == 0.0
-    stat[flat] = np.where(hi[flat] > 0.0, np.inf, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat /= lo
+    if flat.any():
+        # hi / 0 is +-inf for hi > 0 and nan for hi = 0.
+        stat[flat] = np.where(np.isnan(stat[flat]), 1.0, np.inf)
     return stat
 
 
@@ -455,13 +503,14 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
             best, target = int(near[i]), scores[i]
         low_obs, high_obs = low[best], high[best]
         sizes = _split_sizes(w.size, ms)
-        max_rows = max(1, _BLOCK_CELLS // w.size)
+        max_rows = max(1, _BLOCK_CELLS[attribute] // w.size)
         if hi - lo == n and b * n <= _SHARED_CELLS:
             table, rng = _whole_window_permutations(params.seed, n, b), None
         else:
             table, rng = None, _window_rng(params.seed, lo, hi)
         exceed = done = 0
         rows = _FIRST_BLOCK_ROWS
+        work = None if mean else np.empty((4, min(b, max_rows) * w.size))
         # Past the limit the split is rejected; once the permutations left
         # cannot pass it, the split is accepted.
         while exceed <= limit and exceed + (b - done) > limit:
@@ -472,7 +521,7 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
                 rng.permuted(block, axis=1, out=block)
             else:
                 block = w.take(table[done : done + take])
-            stats = _scan(block - m if mean else block, ms, attribute, sizes)
+            stats = _scan(block - m if mean else block, ms, attribute, sizes, work)
             low, high = _bounds(stats.max(axis=1), attribute, band)
             exceed += int(np.count_nonzero(low >= high_obs))
             # Rows whose maximum may tie the observed score: decided exactly.

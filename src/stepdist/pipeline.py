@@ -95,6 +95,8 @@ def ingest(
         rows = [(reader.line_num, row) for row in reader if row]
     if len(rows) < 2 or len(rows[0][1]) < 2:
         raise UnparseableCell(f"{series_csv}: need a header plus data rows with >= 1 series column")
+    if len(rows) < 3:
+        raise UnparseableCell(f"{series_csv}: need a header plus >= 2 data rows")
     (_, header), *data = rows
     ids = [c.strip() for c in header[1:]]
     if any(not i for i in ids):

@@ -259,7 +259,17 @@ class TestSequentialCalibration:
         top = [r for r, n in blocks if n == 3000][1:]
         assert sum(top) == params.permutations - 9
         assert top[0] == changepoint_module._FIRST_BLOCK_ROWS
-        assert all(r * n <= changepoint_module._BLOCK_CELLS for r, n in blocks)
+        assert all(r * n <= changepoint_module._BLOCK_CELLS[Attribute.MEAN] for r, n in blocks)
+        # The variance cap binds before the first block's 16 rows: 2^15 // 3000 = 10.
+        blocks.clear()
+        params = DetectionParams(attribute=Attribute.VARIANCE, min_segment=100)
+        spread = TimeSeries("v", noise.values * np.r_[np.ones(1500), np.full(1500, 4.0)])
+        assert 1500 in detect_change_points(spread, params).points
+        top = [r for r, n in blocks if n == 3000][1:]
+        assert sum(top) == params.permutations - 9
+        cap = changepoint_module._BLOCK_CELLS[Attribute.VARIANCE]
+        assert set(top) == {cap // 3000}
+        assert all(r * n <= cap for r, n in blocks)
 
 
 def same_length_collection(kind, count=8):
@@ -327,6 +337,72 @@ class TestSharedWholeWindow:
                 detect_change_points(ts, params)
             info = draw.cache_info()
             assert (info.misses, info.hits) == (misses, misses * (len(series) - 1))
+
+
+def flat_left_block(rng):
+    x = rng.standard_normal((6, 90))
+    x[:, :40] = 0.75
+    return x, 10
+
+
+# Blocks for the variance kernel: (rows, min_segment) from a generator.
+KERNEL_CASES = {
+    "below_cap": lambda rng: (rng.standard_normal((4, 8000)), 500),  # 32,000 cells
+    "above_cap": lambda rng: (rng.standard_normal((5, 8000)), 500),  # 40,000 cells
+    "one_row_above_cap": lambda rng: (rng.standard_normal((1, 40000)), 1000),
+    "one_flat_side": flat_left_block,
+    "both_flat_sides": lambda rng: (np.tile(np.r_[np.full(45, -0.5), np.full(45, 0.5)], (3, 1)), 10),
+    "all_zero": lambda rng: (np.zeros((3, 60)), 5),
+    "integer": lambda rng: (rng.integers(0, 3, (16, 40)).astype(float), 3),
+    "tiny": lambda rng: (changepoint_module._unit_scaled(rng.standard_normal((8, 120)) * 2.0**-1000)[0], 20),
+    "huge": lambda rng: (changepoint_module._unit_scaled(rng.integers(-3, 4, (8, 120)) * 2.0**1000)[0], 20),
+    "twice_min_segment": lambda rng: (rng.standard_normal((7, 24)), 12),  # one split
+}
+
+
+class TestVarianceKernel:
+    """The in-place variance scan computes the plain expressions bit for bit and never writes its input."""
+
+    @pytest.mark.parametrize("case", list(KERNEL_CASES))
+    def test_scan_equals_full_scan_profile(self, case):
+        x, ms = KERNEL_CASES[case](np.random.default_rng(71))
+        x.flags.writeable = False  # any write into the input raises
+        before = x.copy()
+        n = x.shape[1]
+        sizes = changepoint_module._split_sizes(n, ms)
+        expected = _full_scan_profile(x, ms, "variance")
+        # Fresh scratch space, then a larger one left dirty by an earlier block.
+        work = np.full((4, x.size + 7), np.nan)
+        for scratch in (None, work, work):
+            stat = changepoint_module._scan(x, ms, Attribute.VARIANCE, sizes, scratch)
+            assert stat.shape == expected.shape == (x.shape[0], n - 2 * ms + 1)
+            assert np.array_equal(stat.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(x, before)
+        if case == "one_flat_side":
+            assert np.isinf(stat).any()
+        if case in ("both_flat_sides", "all_zero"):
+            assert (stat == 1.0).any()
+
+    @pytest.mark.parametrize("kind", list(SHARED_CASES))
+    def test_block_cap_keeps_change_points(self, kind, monkeypatch):
+        params = SHARED_CASES[kind]
+        series = same_length_collection(kind)
+        n = series[0].values.size
+        expected = [detect_change_points(ts, params).points for ts in series]
+        assert any(expected)
+        shapes = []
+        real = changepoint_module._scan
+
+        def recording(rows, *args):
+            shapes.append(rows.shape)
+            return real(rows, *args)
+
+        monkeypatch.setattr(changepoint_module, "_scan", recording)
+        for cap in (1, 2**10, 2**15, 2**17, params.permutations * n):
+            monkeypatch.setitem(changepoint_module._BLOCK_CELLS, params.attribute, cap)
+            shapes.clear()
+            assert [detect_change_points(ts, params).points for ts in series] == expected, cap
+            assert all(r == 1 or r * w <= cap for r, w in shapes)
 
 
 class TestExactTies:

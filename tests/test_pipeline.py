@@ -429,12 +429,18 @@ class TestCli:
         "command, write, error, message",
         [
             ("run", lambda path: path.write_text("t,x,y\n"), UnparseableCell, "need a header plus data rows"),
+            (
+                "run",
+                lambda path: path.write_text("t,a\n0,1\n"),
+                UnparseableCell,
+                r"s\.csv: need a header plus >= 2 data rows",
+            ),
             ("run", lambda path: path.write_text("t,x,\n0,1,2\n1,1,2\n"), UnparseableCell, "empty series id"),
             ("run", lambda path: path.write_text("t,x,x\n0,1,2\n1,1,2\n"), IdMismatch, "duplicate series ids"),
             ("run", lambda path: path.write_text("t,x,y\n0,1,2\n1,1,2,3\n"), UnparseableCell, "row 3 has 4 cells"),
             ("compare-metrics", three_series_csv, EmptySet, r"without change points .*\['c'\]"),
         ],
-        ids=["header_only", "empty_id", "duplicate_ids", "long_row", "no_change_point"],
+        ids=["header_only", "one_data_row", "empty_id", "duplicate_ids", "long_row", "no_change_point"],
     )
     def test_rejected_series_csv(self, tmp_path, capsys, command, write, error, message):
         src = tmp_path / "s.csv"
