@@ -59,7 +59,14 @@ that each series gathers its values through. A shuffle's draws depend
 only on the row length, so every gathered row is the row the window's own
 stream would permute, and results are unchanged. The index table is
 shared up to 2^21 cells (4 MiB as uint16); a longer whole-series window
-permutes its values like every other window.
+permutes its values. Sub-windows share their index rows the same way,
+through one cache of the most recently tested windows: 2^19 cells (1 MiB as
+uint16) in all, and a window of at most a quarter of that; larger windows
+permute their values. Rows are drawn as they are first read, so a window
+that stops early draws only what it scans. The pipeline detects the series
+of a collection in order of their whole-window split, so series that go on
+to test the same sub-windows run back to back and find their rows cached;
+results are unchanged.
 """
 
 from __future__ import annotations
@@ -68,6 +75,8 @@ import bisect
 import functools
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -212,22 +221,93 @@ def _window_rng(seed: int, lo: int, hi: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed % (2**63), lo, hi]))
 
 
-# The whole-series window shares one index table per (seed, n, b) while
+class _WindowRows:
+    """The ``b`` permutation rows of window (lo, hi) as indices, drawn on demand in row order.
+
+    Row r permutes 0..L-1 (L = hi - lo) exactly as row r of
+    ``_window_rng(seed, lo, hi)`` permutes the window's values, as a
+    shuffle's draws depend only on the row length, so ``w.take(rows[i:j])``
+    is rows i..j-1 of the window. Rows i..j-1 are drawn the first time they
+    are read, continuing the window's stream, by permuting rows of 8-byte
+    indices (numpy's fastest shuffle), and are kept in the smallest
+    unsigned dtype. Slices are read-only.
+    """
+
+    def __init__(self, seed: int, lo: int, hi: int, b: int):
+        self._rng = _window_rng(seed, lo, hi)
+        self._table = np.empty((b, hi - lo), dtype=np.min_scalar_type(hi - lo - 1))
+        self._drawn = 0
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        with _ROWS_LOCK:
+            if rows.stop > self._drawn:
+                fresh = np.tile(np.arange(self._table.shape[1], dtype=np.intp), (rows.stop - self._drawn, 1))
+                self._rng.permuted(fresh, axis=1, out=fresh)
+                self._table[self._drawn : rows.stop] = fresh
+                self._drawn = rows.stop
+        view = self._table[rows]
+        view.flags.writeable = False
+        return view
+
+
+# Guards every cache lookup and row extension, so that threads detecting at
+# once never draw a window's rows twice or out of order.
+_ROWS_LOCK = threading.Lock()
+
+# The whole-series window shares its rows per (seed, n, b) while
 # b * n <= _SHARED_CELLS; one entry is kept, as a run reads one collection.
 _SHARED_CELLS = 2**21
 
 
 @functools.lru_cache(maxsize=1)
-def _whole_window_permutations(seed: int, n: int, b: int) -> np.ndarray:
-    """The ``b`` permutation rows of window (0, n) as read-only indices in the smallest unsigned dtype.
+def _whole_window_permutations(seed: int, n: int, b: int) -> _WindowRows:
+    """The ``b`` permutation rows of window (0, n), shared by every series of length n."""
+    return _WindowRows(seed, 0, n, b)
 
-    Row r permutes 0..n-1 exactly as row r of ``_window_rng(seed, 0, n)``
-    permutes the window's values, so ``values[table[r]]`` is that row.
-    """
-    table = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (b, 1))
-    _window_rng(seed, 0, n).permuted(table, axis=1, out=table)
-    table.flags.writeable = False
-    return table
+
+# Sub-windows share their rows through one LRU of recently tested windows,
+# keyed by (seed, lo, hi, b). It holds at most _ROW_CACHE_CELLS cells (1 MiB
+# as uint16) and admits a window of at most a quarter of that; larger windows
+# permute their values. Series that split alike test the same sub-windows,
+# and the pipeline detects them back to back, so a small cache catches most
+# repeats.
+_ROW_CACHE_CELLS = 2**19
+
+
+class _RowCache:
+    """The rows of recently tested sub-windows, least recently used evicted first."""
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple[int, int, int, int], _WindowRows] = OrderedDict()
+        self.cells = 0
+        self.hits = 0
+
+    def rows(self, seed: int, lo: int, hi: int, b: int) -> _WindowRows | None:
+        """The shared rows of window (lo, hi), or None when the window is too large to cache."""
+        cells = b * (hi - lo)
+        if 4 * cells > _ROW_CACHE_CELLS:
+            return None
+        key = (seed, lo, hi, b)
+        with _ROWS_LOCK:
+            rows = self.entries.pop(key, None)
+            if rows is None:
+                rows = _WindowRows(seed, lo, hi, b)
+                self.cells += cells
+            else:
+                self.hits += 1
+            self.entries[key] = rows
+            while self.cells > _ROW_CACHE_CELLS:
+                (_, old_lo, old_hi, old_b), _ = self.entries.popitem(last=False)
+                self.cells -= old_b * (old_hi - old_lo)
+        return rows
+
+    def clear(self) -> None:
+        with _ROWS_LOCK:
+            self.entries.clear()
+            self.cells = self.hits = 0
+
+
+_ROW_CACHE = _RowCache()
 
 
 def _split_sizes(n: int, min_segment: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -504,10 +584,11 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         low_obs, high_obs = low[best], high[best]
         sizes = _split_sizes(w.size, ms)
         max_rows = max(1, _BLOCK_CELLS[attribute] // w.size)
-        if hi - lo == n and b * n <= _SHARED_CELLS:
-            table, rng = _whole_window_permutations(params.seed, n, b), None
+        if hi - lo == n:
+            table = _whole_window_permutations(params.seed, n, b) if b * n <= _SHARED_CELLS else None
         else:
-            table, rng = None, _window_rng(params.seed, lo, hi)
+            table = _ROW_CACHE.rows(params.seed, lo, hi, b)
+        rng = _window_rng(params.seed, lo, hi) if table is None else None
         exceed = done = 0
         rows = _FIRST_BLOCK_ROWS
         work = None if mean else np.empty((4, min(b, max_rows) * w.size))

@@ -25,7 +25,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .changepoint import ChangePointSet, DetectionParams, TimeSeries, detect_change_points
+from .changepoint import (
+    Attribute,
+    ChangePointSet,
+    DetectionParams,
+    TimeSeries,
+    _scan_profile,
+    _unit_scaled,
+    detect_change_points,
+)
 from .clustering import (
     ClusterAssignment,
     Linkage,
@@ -108,6 +116,18 @@ def ingest(
     for r, (line, row) in enumerate(data):
         if len(row) > n_cols + 1:
             raise UnparseableCell(f"{series_csv}: row {line} has {len(row)} cells, expected {n_cols + 1}")
+        # A full row of finite numbers is converted at once; any other row
+        # cell by cell, which finds its missing cells and its first bad one.
+        # float() strips the same whitespace as str.strip(), and a finite
+        # sum means every value is finite.
+        if len(row) == n_cols + 1:
+            try:
+                values = list(map(float, row[1:]))
+            except ValueError:
+                values = None
+            if values is not None and math.isfinite(sum(values)):
+                table[r] = values
+                continue
         for j, tok in enumerate(row[1:]):
             tok = tok.strip()
             if tok.lower() in _MISSING_TOKENS:
@@ -151,6 +171,30 @@ def _write_assignment_csv(assignment: ClusterAssignment, path) -> None:
             w.writerow([label, c])
 
 
+def _detection_order(series: list[TimeSeries], params: DetectionParams) -> list[int]:
+    """Indices of ``series`` in order of their whole-window best split (stable).
+
+    Series that split the whole window alike go on to test the same
+    sub-windows, so detecting them back to back lets those windows share
+    their permutation rows; the order changes no result. The split is the
+    float argmax of the observed scan, as ties need no exact decision here.
+    When a series is too short to test, the input order is kept, so the
+    error names the first such series.
+    """
+    ms = params.min_segment
+    if any(ts.values.size < 2 * ms for ts in series):
+        return list(range(len(series)))
+
+    def split(ts: TimeSeries) -> int:
+        w, _ = _unit_scaled(ts.values)
+        if params.attribute is Attribute.MEAN:
+            w = w - w.mean()
+        return int(np.argmax(_scan_profile(w[np.newaxis, :], ms, params.attribute)))
+
+    splits = [split(ts) for ts in series]
+    return sorted(range(len(series)), key=splits.__getitem__)
+
+
 def _embed_all(
     series: list[TimeSeries], config: PipelineConfig
 ) -> tuple[tuple[str, ...], list[ChangePointSet], list[StepFunction]]:
@@ -158,7 +202,8 @@ def _embed_all(
     if len(series) < 2:
         raise InputError(f"pairwise analysis needs >= 2 series, got {len(series)}")
     labels = tuple(ts.id for ts in series)
-    cps = [detect_change_points(ts, config) for ts in series]
+    found = {i: detect_change_points(series[i], config) for i in _detection_order(series, config)}
+    cps = [found[i] for i in range(len(series))]
     fs = [from_changepoints(ts, c, config.attribute) for ts, c in zip(series, cps)]
     return labels, cps, fs
 

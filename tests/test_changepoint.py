@@ -1,5 +1,8 @@
+import dataclasses
 import hashlib
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -223,9 +226,9 @@ class TestSequentialCalibration:
             one_shot = np.tile(w, (199, 1))
             changepoint_module._window_rng(5, 0, n).permuted(one_shot, axis=1, out=one_shot)
             rng = changepoint_module._window_rng(5, 0, n)
-            # The whole-series window gathers the same blocks from index rows drawn once.
+            # The whole-series window gathers the same blocks from index rows drawn on demand.
             table = changepoint_module._whole_window_permutations(5, n, 199)
-            assert table.dtype == dtype and not table.flags.writeable
+            assert table[0:1].dtype == dtype and not table[0:1].flags.writeable
             blocks = []
             for rows in (16, 32, 64, 1, 3, 83):
                 block = np.tile(w, (rows, 1))
@@ -234,6 +237,18 @@ class TestSequentialCalibration:
                 assert np.array_equal(w[table[done : done + rows]], block)
                 blocks.append(block)
             assert np.array_equal(np.vstack(blocks), one_shot)
+
+    @pytest.mark.parametrize("lo, hi, dtype", [(40, 296, np.uint8), (7, 307, np.uint16)])
+    def test_lazy_rows_equal_one_shot_stream(self, lo, hi, dtype):
+        w = np.random.default_rng(1).standard_normal(hi - lo)
+        one_shot = np.tile(w, (199, 1))
+        changepoint_module._window_rng(9, lo, hi).permuted(one_shot, axis=1, out=one_shot)
+        rows = changepoint_module._WindowRows(9, lo, hi, 199)
+        # Uneven extensions, re-reads of drawn rows, and reads that reach past them.
+        for start, stop in ((0, 3), (0, 10), (10, 11), (5, 40), (40, 41), (2, 150), (150, 199), (0, 199)):
+            got = rows[start:stop]
+            assert got.dtype == dtype and not got.flags.writeable
+            assert np.array_equal(w.take(got), one_shot[start:stop])
 
     def test_stops_early_and_bounds_blocks(self, monkeypatch):
         blocks = []
@@ -337,6 +352,103 @@ class TestSharedWholeWindow:
                 detect_change_points(ts, params)
             info = draw.cache_info()
             assert (info.misses, info.hits) == (misses, misses * (len(series) - 1))
+
+
+def shared_break_collection(kind, count=10):
+    """``count`` series of one length whose planted breaks sit at the same places, so sub-windows repeat."""
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng((83, i))
+        if kind == "mean":
+            values = rng.standard_normal(300) + np.repeat([0.0, 3.0, -1.0], 100)
+        elif kind == "variance":
+            values = rng.standard_normal(300) * np.repeat([1.0, 5.0, 1.0], 100)
+        else:
+            values = rng.integers(0, 3, 60) + np.repeat([0, 2, 0], 20) + 1e6
+        out.append(TimeSeries(f"{kind}{i}", values))
+    return out
+
+
+def detect_in_order(series, params, order):
+    """Change points of ``series``, detected in ``order`` and returned in input order."""
+    found = {i: detect_change_points(series[i], params).points for i in order}
+    return [found[i] for i in range(len(series))]
+
+
+class TestSharedSubWindows:
+    """Sub-windows share their permutation rows through one bounded cache, and no result changes."""
+
+    @pytest.mark.parametrize("kind", list(SHARED_CASES))
+    def test_collection_matches_uncached_rows(self, kind, monkeypatch):
+        params = SHARED_CASES[kind]
+        more = dataclasses.replace(params, permutations=2 * params.permutations + 1)
+        series = shared_break_collection(kind)
+        forward = list(range(len(series)))
+        cache = changepoint_module._ROW_CACHE
+        cache.clear()
+        shared = detect_in_order(series, params, forward)
+        assert cache.hits >= 1
+        assert sum(map(len, shared)) >= len(series)
+        shared_more = detect_in_order(series, more, forward)  # the same windows, still cached for ``params``
+        for order in (forward[::-1], np.random.default_rng(2).permutation(forward).tolist()):
+            cache.clear()
+            assert detect_in_order(series, params, order) == shared
+        monkeypatch.setattr(changepoint_module, "_ROW_CACHE_CELLS", 0)
+        cache.clear()
+        assert detect_in_order(series, params, forward) == shared
+        assert detect_in_order(series, more, forward) == shared_more
+        assert cache.hits == 0 and not cache.entries
+
+    @pytest.mark.parametrize("kind", list(SHARED_CASES))
+    def test_threads_detect_at_once(self, kind):
+        params = SHARED_CASES[kind]
+        series = shared_break_collection(kind)
+        expected = [detect_change_points(ts, params).points for ts in series]
+        changepoint_module._ROW_CACHE.clear()
+        count = 4  # more threads than cores, all extending the same entries
+        start = threading.Barrier(count)
+        results = [None] * count
+
+        def run(k):
+            start.wait()
+            results[k] = [detect_change_points(ts, params).points for ts in series]
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * count
+
+    @pytest.mark.parametrize("budget", [2**19, 2**17])
+    def test_cache_stays_within_budget(self, budget, monkeypatch):
+        monkeypatch.setattr(changepoint_module, "_ROW_CACHE_CELLS", budget)
+        cache = changepoint_module._ROW_CACHE
+        cache.clear()
+        admitted = []
+        real = cache.rows
+
+        def recording(seed, lo, hi, b):
+            rows = real(seed, lo, hi, b)
+            admitted.append(rows is not None)
+            return rows
+
+        monkeypatch.setattr(cache, "rows", recording)
+        for kind in ("mean", "variance"):
+            for ts in shared_break_collection(kind):
+                detect_change_points(ts, SHARED_CASES[kind])
+                cells = [b * (hi - lo) for _, lo, hi, b in cache.entries]
+                assert cache.cells == sum(cells) <= budget
+                assert all(4 * c <= budget for c in cells)
+                assert all(rows._table.size == c for rows, c in zip(cache.entries.values(), cells))
+        # With the smaller budget, windows of 200 samples are too large to cache.
+        assert all(admitted) == (budget == 2**19) and any(admitted)
 
 
 def flat_left_block(rng):

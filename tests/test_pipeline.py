@@ -23,7 +23,7 @@ from stepdist import (
 )
 from stepdist.cli import main
 from stepdist.errors import AllMissingColumn, BadK, DuplicateStation, EmptySet, IdMismatch, InputError, UnparseableCell
-from stepdist.pipeline import PipelineConfig, compare_metrics, run_analysis
+from stepdist.pipeline import PipelineConfig, _embed_all, compare_metrics, run_analysis
 
 DATA = Path(__file__).parent / "data"
 FIXTURE_SERIES = DATA / "geo_fixture_series.csv"
@@ -137,6 +137,40 @@ class TestIngest:
             series, stations = ingest(p, meta)
         assert [s.id for s in stations] == ["x"]
         assert "unused" in caplog.text
+
+    @pytest.mark.parametrize(
+        "text, columns",
+        [
+            ("t,a,b\n0, 1.5 ,\t2\n1,3 , -4e2 \n", [[1.5, 3.0], [2.0, -400.0]]),
+            ("t,a,b\n0,1,NA\n1,,2\n2,nan,None\n3,4,null\n4,N/a,\n", [[1, 1, 1, 4, 4], [2, 2, 2, 2, 2]]),
+            ("t,a,b\n0,1,2\n1,3\n2\n3,5,6\n", [[1, 3, 3, 5], [2, 2, 2, 6]]),
+            ("t,a,b\n0,1e308,1e308\n1,-1e308,1e308\n", [[1e308, -1e308], [1e308, 1e308]]),
+        ],
+        ids=["padded", "missing_tokens", "short_rows", "sum_overflows"],
+    )
+    def test_row_tables(self, tmp_path, text, columns):
+        p = tmp_path / "s.csv"
+        p.write_text(text)
+        series, _ = ingest(p)
+        assert [ts.values.tolist() for ts in series] == columns
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,a,b\n0,1,2\n1,3,inf\n", "row 3, column 'b': cannot parse 'inf'"),
+            ("t,a,b\n0,1,2\n1, -Infinity ,3\n", "row 3, column 'a': cannot parse '-Infinity'"),
+            ("t,a,b\n0,1,2\n1,3,1e999\n", "row 3, column 'b': cannot parse '1e999'"),
+            ("t,a,b\n0,1,2\n1,3,x\n2,inf,4\n", "row 3, column 'b': cannot parse 'x'"),
+            ("t,a,b\n0,1,2\n1,inf,x\n", "row 3, column 'a': cannot parse 'inf'"),
+            ("t,a,b\n0,1,2\n1,x\n", "row 3, column 'a': cannot parse 'x'"),
+        ],
+        ids=["inf", "padded_negative_inf", "overflow", "bad_token_first", "inf_before_bad_token", "short_row"],
+    )
+    def test_first_bad_cell_named(self, tmp_path, text, message):
+        p = tmp_path / "s.csv"
+        p.write_text(text)
+        with pytest.raises(UnparseableCell, match=re.escape(message)):
+            ingest(p)
 
     def test_fixture_dimensions(self):
         series, stations = ingest(FIXTURE_SERIES, FIXTURE_STATIONS)
@@ -282,6 +316,32 @@ class TestCompareMetrics:
         src.write_text("t,x\n" + "\n".join(f"{t},{t % 5}" for t in range(100)) + "\n")
         with pytest.raises(InputError):
             compare_metrics(PipelineConfig(series_path=str(src), out_dir=str(tmp_path / "o")))
+
+
+class TestDetectionOrder:
+    """Series are detected in order of their whole-window split, and results come back in input order."""
+
+    def test_results_in_input_order(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        # Jumps planted ever earlier, so the split order is the reverse of the input order.
+        series = [
+            TimeSeries(f"s{i}", rng.standard_normal(240) + np.repeat([0.0, 6.0], [200 - 20 * i, 40 + 20 * i]))
+            for i in range(6)
+        ]
+        config = PipelineConfig(min_segment=15, seed=2)
+        expected = [detect_change_points(ts, config) for ts in series]
+        calls = []
+
+        def detect(ts, params):
+            calls.append(ts.id)
+            return detect_change_points(ts, params)
+
+        monkeypatch.setattr("stepdist.pipeline.detect_change_points", detect)
+        labels, cps, fs = _embed_all(series, config)
+        assert calls == [ts.id for ts in reversed(series)]
+        assert labels == tuple(ts.id for ts in series)
+        assert cps == expected
+        assert [f.breakpoints for f in fs] == [(0, *c.points, 239) for c in expected]
 
 
 class TestConfig:
@@ -452,6 +512,17 @@ class TestCli:
         code = 1 if issubclass(error, InputError) else 2
         assert main([command, "--series", str(src), "--out", str(out)]) == code
         assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_short_series_name_the_first_series(self, tmp_path, capsys):
+        # Every series is shorter than 2 * min_segment = 60; s0 splits last, s2 first.
+        rng = np.random.default_rng(4)
+        cols = [rng.standard_normal(40) + np.repeat([0.0, 5.0], [35 - 10 * i, 5 + 10 * i]) for i in range(3)]
+        src = tmp_path / "s.csv"
+        write_series_csv(src, ["s0", "s1", "s2"], cols, n=40)
+        out = tmp_path / "o"
+        assert main(["run", "--series", str(src), "--out", str(out)]) == 2
+        assert "series 's0': 40 observations < 2 * min_segment = 60" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_cosine_with_metadata(self, tmp_path):
