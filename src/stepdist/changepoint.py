@@ -25,8 +25,15 @@ The mean scan does not compute the t-statistic itself. Every permutation
 of a window has the same sum and total sum of squares (TSS), so the
 pooled t-statistic is a monotone function of the score
 u = S^2 / (n_l * n_r), where S is the left sum of the window centred
-once on its mean: t^2 = (n - 2) v / (1 - v) with v = n u / TSS. A
-permutation row then costs one cumulative sum, a square and a multiply.
+once on its mean: t^2 = (n - 2) v / (1 - v) with v = n u / TSS. Mean rows
+are scanned at two levels. A row is first read only at the start of each
+run of 8 splits: when its left sums there, widened by the most a run can
+add and by their rounding error, keep every split's exact u below the
+observed score, the row is certified, as it cannot be an exceedance. Only
+the rows left get the full scan: one cumulative sum, a square and a
+multiply. A window stops certifying once one of its blocks certifies no
+row, which happens where the split is rejected.
+
 The variance scan computes the ratio F = max(var_l / var_r, var_r / var_l)
 of the side variances. It runs in place, in scratch space that the blocks
 of a window reuse, on blocks of at most 2^15 cells, so that its arrays stay
@@ -196,11 +203,19 @@ class DetectionParams:
 #   the 2 MiB L2 of one core of the 2-CPU Xeon measured. On `long_variance`
 #   (8 x 8000, seed 77) detection took 1.30, 1.13, 1.04, 1.05 and 1.13 s
 #   at caps 2^13 to 2^17 (medians of 5 rounds).
-# - mean: four (the block, the centred block, its cumulative sum and the
-#   scores), 4 MiB at 2^17 cells. No smaller mean cap has yet shown a gain
-#   over whole benchmark runs, so the mean keeps 2^17.
+# - mean: three (the block, gathered already centred, its cumulative sum
+#   and the scores), 3 MiB at 2^17 cells, and far less where certified rows
+#   skip the scan. No smaller mean cap has yet shown a gain over whole
+#   benchmark runs, so the mean keeps 2^17.
 _FIRST_BLOCK_ROWS = 16
 _BLOCK_CELLS = {Attribute.MEAN: 2**17, Attribute.VARIANCE: 2**15}
+
+# Mean rows are certified from their left sums at the start of each run of
+# _CERTIFY_RUN consecutive splits (``_run_limits``) before any is scanned.
+# Longer runs read fewer sums but loosen the bound: on the benchmark's
+# `reference` collection (seed 77), runs of 4, 8, 16 and 32 certified 92%,
+# 86%, 80% and 47% of the rows of accepted windows.
+_CERTIFY_RUN = 8
 
 
 def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -428,23 +443,60 @@ def _gamma(k: int) -> float:
     return k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
 
-def _mean_band(c: np.ndarray, min_segment: int) -> float:
-    """Bound on |u - U| over every split of every permutation of the centred window ``c``.
+def _sum_error(c: np.ndarray) -> tuple[float, float]:
+    """Bounds (a, e) for the centred window ``c``: a on the sum of |c|, e on the error of a left sum.
 
-    u is the float score of the mean scan and U the exact score of the
-    window before centring. Let A be the sum of |c|. A float left sum is off
-    the exactly centred one by at most e = 2 gamma(n) A + |sum of c| (the
-    cumulative sum, the rounding of c, and the offset of the float mean);
-    both are at most A + e in magnitude, and the square and the product
-    add gamma(3) u. The smallest n_l * n_r, min_segment * (n - min_segment),
-    divides the whole, and the last term covers underflow.
+    Any float left sum of a permutation of ``c``, summed in any order, is off
+    the left sum of the exactly centred window by at most e = 2 gamma(n) a +
+    |sum of c|: the summation, the rounding of c, and the offset of the
+    float mean, which is at most e / n per value.
     """
     n = c.size
     a = float(np.abs(c).sum()) * (1.0 + _gamma(2 * n))
     e = (2.0 * _gamma(n) * a + abs(float(c.sum()))) * (1.0 + _gamma(n))
+    return a, e
+
+
+def _mean_band(a: float, e: float, n: int, min_segment: int) -> float:
+    """Bound on |u - U| over every split of every permutation of a centred window of n values.
+
+    u is the float score of the mean scan and U the exact score of the
+    window before centring. A float left sum is off the exactly centred one
+    by at most e, and both are at most a + e in magnitude (``_sum_error``);
+    the square and the product add gamma(3) u. The smallest n_l * n_r,
+    min_segment * (n - min_segment), divides the whole, and the last term
+    covers underflow.
+    """
     big = a * (1.0 + _gamma(n)) + e
     band = (2.0 * e * big + _gamma(3) * big * big) / (min_segment * (n - min_segment))
     return band * (1.0 + 2.0**-20) + 2.0**-1070
+
+
+def _run_limits(
+    c: np.ndarray, e: float, sizes: tuple[np.ndarray, np.ndarray, np.ndarray], low_obs: float
+) -> np.ndarray | None:
+    """Limits on a mean row's left sums at run starts that certify the row; None when none can.
+
+    The admissible splits form runs of k = _CERTIFY_RUN, run j starting at
+    a_j = min_segment + j k. A row whose float left sum S_a at every run
+    start has |S_a| below its run's limit is certified: its exact score U
+    stays below ``low_obs`` at every split. For s in run j, the exactly
+    centred left sum obeys |S*_s| <= |S_a| + e + (k - 1) M', with e from
+    ``_sum_error`` and M' bounding the exactly centred values, and
+    U = S*_s^2 / (n_l n_r) with n_l n_r at least the run's smallest product
+    p_j (exact in floats). The limit is sqrt(low_obs p_j) less that slack,
+    shrunk by a relative 2^-20 so that its own rounding cannot make it too
+    large.
+    """
+    if low_obs <= 2.0**-1000:  # low_obs * p_j would lose its relative precision
+        return None
+    n_l, n_r, _ = sizes
+    k = _CERTIFY_RUN
+    prod = np.minimum.reduceat(n_l * n_r, np.arange(0, n_l.size, k))
+    bound = float(np.abs(c).max()) * (1.0 + 2.0**-20) + e
+    slack = (e + (k - 1) * bound) * (1.0 + 2.0**-20)
+    limits = np.sqrt(low_obs * prod) * (1.0 - 2.0**-20) - slack
+    return limits if limits.max() > 0.0 else None
 
 
 # A variance split is resolved when its smaller side variance exceeds
@@ -530,6 +582,88 @@ def _at_least(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] * b[1] >= b[0] * a[1]
 
 
+class _Window:
+    """The observed split of one scaled window, and the exceedance count of its permutation rows.
+
+    The mean scan takes rows centred on the window mean (``c``); the
+    variance scan centres each row itself, so there ``c`` is ``w``.
+    """
+
+    def __init__(self, w: np.ndarray, min_segment: int, attribute: Attribute):
+        mean = attribute is Attribute.MEAN
+        self.w, self.ms, self.attribute = w, min_segment, attribute
+        self.m = w.mean() if mean else 0.0
+        self.c = w - self.m if mean else w
+        self.band, e = _VARIANCE_BAND, 0.0
+        if mean:
+            a, e = _sum_error(self.c)
+            self.band = _mean_band(a, e, w.size, min_segment)
+        self.profile = _scan_profile(self.c[np.newaxis, :], min_segment, attribute)[0]
+        low, high = _bounds(self.profile, attribute, self.band)
+        near = np.flatnonzero(high >= low.max())  # the splits that may hold the exact maximum
+        self.best = int(near[0])
+        self.target = None  # the exact observed score, once needed
+        if near.size > 1:
+            scores = _exact_scores(w, near + min_segment, min_segment, attribute, self.profile)
+            i = 0
+            for j in range(1, len(scores)):
+                if not _at_least(scores[i], scores[j]):  # later splits win only strictly
+                    i = j
+            self.best, self.target = int(near[i]), scores[i]
+        self.low_obs, self.high_obs = low[self.best], high[self.best]
+        self.sizes = _split_sizes(w.size, min_segment)
+        self.runs = _run_limits(self.c, e, self.sizes, self.low_obs) if mean else None
+
+    def certified(self, block: np.ndarray) -> np.ndarray:
+        """Which centred mean rows of ``block`` the run limits certify, from their left sums at run starts.
+
+        Each run start's sum is the sum before it plus one run of k values,
+        summed in any order, which ``_sum_error`` allows.
+        """
+        ms, k = self.ms, _CERTIFY_RUN
+        rows, runs = block.shape[0], self.runs.size
+        sums = np.empty((rows, runs))
+        block[:, :ms].sum(axis=1, out=sums[:, 0])
+        np.einsum("ijk->ij", block[:, ms : ms + k * (runs - 1)].reshape(rows, runs - 1, k), out=sums[:, 1:])
+        np.cumsum(sums, axis=1, out=sums)
+        np.abs(sums, out=sums)
+        sums -= self.runs
+        return sums.max(axis=1) < 0.0
+
+    def exceedances(self, block: np.ndarray, uncentred, work: np.ndarray | None = None) -> int:
+        """How many rows of ``block`` reach the observed score exactly.
+
+        ``block`` holds permutation rows of ``c``, and ``uncentred(r)`` is
+        row r of ``w`` in the same order, for the exact decision. Mean rows
+        are certified first, and only the rest are scanned, until a block
+        certifies none: from then on every row of the window is scanned.
+        ``work`` is the variance scan's scratch space.
+        """
+        kept = None
+        if self.runs is not None:
+            certified = self.certified(block)
+            if certified.any():
+                kept = np.flatnonzero(~certified)
+                block = block[kept]
+            else:
+                self.runs = None
+        if not len(block):
+            return 0
+        ms, attribute = self.ms, self.attribute
+        stats = _scan(block, ms, attribute, self.sizes, work)
+        low, high = _bounds(stats.max(axis=1), attribute, self.band)
+        count = int(np.count_nonzero(low >= self.high_obs))
+        # Rows whose maximum may tie the observed score: decided exactly.
+        for r in np.flatnonzero((low < self.high_obs) & (high >= self.low_obs)):
+            if self.target is None:
+                self.target = _exact_scores(self.w, np.array([self.best + ms]), ms, attribute, self.profile)[0]
+            splits = np.flatnonzero(_bounds(stats[r], attribute, self.band)[1] >= self.low_obs) + ms
+            row = uncentred(int(r if kept is None else kept[r]))
+            scores = _exact_scores(row, splits, ms, attribute, stats[r])
+            count += any(_at_least(s, self.target) for s in scores)
+        return count
+
+
 def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangePointSet:
     """Detect interior change points of ``series`` for the chosen attribute.
 
@@ -556,8 +690,6 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
     # <= significance, found with that exact expression so that rounding
     # cannot move the boundary. Exceedances only grow as permutations run.
     limit = bisect.bisect_right(range(b + 1), params.significance, key=lambda k: (1 + k) / (b + 1)) - 1
-    # The mean scan takes rows centred on the window mean; the variance scan
-    # centres each row itself.
     mean = attribute is Attribute.MEAN
 
     windows = [(0, n)]
@@ -566,23 +698,7 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         if hi - lo < 2 * ms:
             continue
         w, _ = _unit_scaled(x[lo:hi])
-        m = w.mean() if mean else 0.0
-        c = w - m if mean else w
-        band = _mean_band(c, ms) if mean else _VARIANCE_BAND
-        profile = _scan_profile(c[np.newaxis, :], ms, attribute)[0]
-        low, high = _bounds(profile, attribute, band)
-        near = np.flatnonzero(high >= low.max())  # the splits that may hold the exact maximum
-        best = int(near[0])
-        target = None  # the exact observed score, once needed
-        if near.size > 1:
-            scores = _exact_scores(w, near + ms, ms, attribute, profile)
-            i = 0
-            for j in range(1, len(scores)):
-                if not _at_least(scores[i], scores[j]):  # later splits win only strictly
-                    i = j
-            best, target = int(near[i]), scores[i]
-        low_obs, high_obs = low[best], high[best]
-        sizes = _split_sizes(w.size, ms)
+        window = _Window(w, ms, attribute)
         max_rows = max(1, _BLOCK_CELLS[attribute] // w.size)
         if hi - lo == n:
             table = _whole_window_permutations(params.seed, n, b) if b * n <= _SHARED_CELLS else None
@@ -592,30 +708,29 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         exceed = done = 0
         rows = _FIRST_BLOCK_ROWS
         work = None if mean else np.empty((4, min(b, max_rows) * w.size))
+        # take() turns uint16 index rows into a fresh intp array on every
+        # call; casting them into one buffer per window costs less.
+        ibuf = None if table is None else np.empty((min(b, max_rows), w.size), np.intp)
         # Past the limit the split is rejected; once the permutations left
         # cannot pass it, the split is accepted.
         while exceed <= limit and exceed + (b - done) > limit:
             # A block ends where acceptance becomes certain if it adds no exceedance.
             take = min(rows, max_rows, b - done - (limit - exceed))
             if table is None:
-                block = np.tile(w, (take, 1))
-                rng.permuted(block, axis=1, out=block)
+                raw = np.tile(w, (take, 1))
+                rng.permuted(raw, axis=1, out=raw)
+                block = raw - window.m if mean else raw
+                uncentred = raw.__getitem__
             else:
-                block = w.take(table[done : done + take])
-            stats = _scan(block - m if mean else block, ms, attribute, sizes, work)
-            low, high = _bounds(stats.max(axis=1), attribute, band)
-            exceed += int(np.count_nonzero(low >= high_obs))
-            # Rows whose maximum may tie the observed score: decided exactly.
-            for r in np.flatnonzero((low < high_obs) & (high >= low_obs)):
-                if target is None:
-                    target = _exact_scores(w, np.array([best + ms]), ms, attribute, profile)[0]
-                splits = np.flatnonzero(_bounds(stats[r], attribute, band)[1] >= low_obs) + ms
-                scores = _exact_scores(block[r], splits, ms, attribute, stats[r])
-                exceed += any(_at_least(s, target) for s in scores)
+                index = ibuf[:take]
+                np.copyto(index, table[done : done + take])
+                block = window.c.take(index)  # the bits of w.take(index) - m
+                uncentred = lambda r, index=index: w.take(index[r])  # noqa: E731
+            exceed += window.exceedances(block, uncentred, work)
             done += take
             rows *= 2
         if exceed <= limit:
-            cp = lo + ms + best
+            cp = lo + ms + window.best
             found.append(cp)
             # Pushed right first so the left half is scanned next, depth first.
             windows += [(cp, hi), (lo, cp)]

@@ -228,15 +228,25 @@ def write_matrix_csv(m: LabeledSquareMatrix, path) -> None:
     Values are rendered with repr so the decimal text round-trips to the
     exact same doubles. The values of a row are joined in one piece, since
     no float's repr needs csv quoting; labels go through the csv writer.
+    A matrix is symmetric, so each value of the upper triangle is rendered
+    once and mirrored below the diagonal; a value below it is rendered
+    itself where it differs from its mirror image, in value or in sign bit
+    (0.0 against -0.0, which compare equal but render differently).
     """
+    entries = np.asarray(m.entries)
+    upper = [list(map(repr, row[i:])) for i, row in enumerate(entries.tolist())]  # upper[i][k]: (i, i + k)
+    apart = (entries != entries.T) | (np.signbit(entries) != np.signbit(entries.T))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(m.labels)
         field = io.StringIO()
         quoting = csv.writer(field)
-        for label, row in zip(m.labels, m.entries):
+        for i, label in enumerate(m.labels):
+            cells = [upper[j][i - j] for j in range(i)] + upper[i]
+            for j in np.flatnonzero(apart[i, :i]).tolist():
+                cells[j] = repr(float(entries[i, j]))
             # The writer quotes the label as in a full row, then "," and "\r\n".
             quoting.writerow([label, ""])
-            fh.write(field.getvalue()[:-2] + ",".join(map(repr, row.tolist())) + "\r\n")
+            fh.write(field.getvalue()[:-2] + ",".join(cells) + "\r\n")
             field.seek(0)
             field.truncate()
 

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from stepdist.errors import DegenerateSegment, SeriesTooShort
 from stepdist.synthetic import benchmark_suite
 
 from tests.helpers import (
+    _exact_split_stats,
+    _fraction_ge,
     _full_scan_profile,
     exact_permutation_detector,
     f_scan_oracle,
@@ -251,40 +255,180 @@ class TestSequentialCalibration:
             assert np.array_equal(w.take(got), one_shot[start:stop])
 
     def test_stops_early_and_bounds_blocks(self, monkeypatch):
-        blocks = []
-        real = changepoint_module._scan
+        # Gathered blocks, not scans: certified mean rows never reach ``_scan``.
+        blocks, scans = [], []
+        gather, scan = changepoint_module._Window.exceedances, changepoint_module._scan
 
-        def recording(rows, *args):
-            blocks.append(rows.shape)
-            return real(rows, *args)
+        def gathering(window, block, *args):
+            blocks.append(block.shape)
+            return gather(window, block, *args)
 
-        monkeypatch.setattr(changepoint_module, "_scan", recording)
+        def scanning(rows, *args):
+            scans.append(rows.shape)
+            return scan(rows, *args)
+
+        monkeypatch.setattr(changepoint_module._Window, "exceedances", gathering)
+        monkeypatch.setattr(changepoint_module, "_scan", scanning)
         params = DetectionParams(min_segment=100)
         # Pure noise: the split is rejected long before all 199 permutations.
         noise = TimeSeries("n", np.random.default_rng(1).standard_normal(3000))
         assert detect_change_points(noise, params).points == ()
-        observed, *perms = blocks  # the window's own scan comes first
-        assert observed == (1, 3000)
-        assert sum(r for r, _ in perms) < params.permutations
+        assert scans[0] == (1, 3000)  # the window's own scan comes first
+        assert sum(r for r, _ in blocks) < params.permutations
         # A 10-sigma jump: accepted once the last 9 permutations (p <= 10/200
         # even if all exceed) cannot change the decision.
         blocks.clear()
+        scans.clear()
         jump = TimeSeries("j", np.r_[np.zeros(1500), np.full(1500, 10.0)] + noise.values)
         assert detect_change_points(jump, params).points == (1500,)
-        top = [r for r, n in blocks if n == 3000][1:]
+        top = [r for r, n in blocks if n == 3000]
         assert sum(top) == params.permutations - 9
         assert top[0] == changepoint_module._FIRST_BLOCK_ROWS
         assert all(r * n <= changepoint_module._BLOCK_CELLS[Attribute.MEAN] for r, n in blocks)
+        # Every permutation row of the whole window is certified, so only its observed row is scanned.
+        assert [shape for shape in scans if shape[1] == 3000] == [(1, 3000)]
         # The variance cap binds before the first block's 16 rows: 2^15 // 3000 = 10.
         blocks.clear()
         params = DetectionParams(attribute=Attribute.VARIANCE, min_segment=100)
         spread = TimeSeries("v", noise.values * np.r_[np.ones(1500), np.full(1500, 4.0)])
         assert 1500 in detect_change_points(spread, params).points
-        top = [r for r, n in blocks if n == 3000][1:]
+        top = [r for r, n in blocks if n == 3000]
         assert sum(top) == params.permutations - 9
         cap = changepoint_module._BLOCK_CELLS[Attribute.VARIANCE]
         assert set(top) == {cap // 3000}
         assert all(r * n <= cap for r, n in blocks)
+
+
+def exact_maximum(values, min_segment):
+    """The largest exact t^2 over the admissible splits of ``values``, a fraction (num, den)."""
+    ratios = [Fraction(v) for v in values]
+    den = math.lcm(*(q.denominator for q in ratios))
+    stats = _exact_split_stats([int(q * den) for q in ratios], min_segment, "mean")
+    best = stats[0]
+    for s in stats[1:]:
+        if not _fraction_ge(best, s):
+            best = s
+    return best
+
+
+def certification_cases():
+    """(kind, series, params) under the mean attribute: ties, extreme values, flat windows and extreme scales.
+
+    Rows are certified in windows whose observed score stands well clear of
+    the permutations', so most series carry a planted shift.
+    """
+    cases = []
+    for seed in range(8):
+        rng = np.random.default_rng((89, seed))
+        n = int(rng.integers(150, 250))
+        # Offsets far above the spread make the centring round coarsely, up
+        # to values one ulp apart at 2^52.
+        offset = (0.0, 1e6, 2.0**44, 2.0**52)[seed % 4]
+        x = rng.integers(0, 3, n) + 2 * (np.arange(n) >= int(rng.integers(40, n - 40))) + offset
+        cases.append(("ties", x, DetectionParams(min_segment=int(rng.integers(2, 6)), significance=0.2, seed=seed)))
+    for seed in range(4):
+        # Two values only, so runs of equal values, each adding one value's magnitude, are common.
+        rng = np.random.default_rng((97, seed))
+        x = (rng.random(200) < np.repeat([0.2, 0.8], 100)).astype(float)
+        cases.append(("two_values", x, DetectionParams(min_segment=2, significance=0.5, seed=seed)))
+    noise = np.random.default_rng(3).normal(0, 1, 100)
+    for x in (np.full(200, 3.0), np.r_[np.zeros(100), np.ones(100)], np.r_[np.zeros(100), noise]):
+        cases.append(("flat", x, DetectionParams(min_segment=5, seed=1)))
+    for factor in (2.0**1000, 2.0**-1000):
+        for seed in range(2):
+            x = np.random.default_rng((101, seed)).standard_normal(240) + np.repeat([0.0, 3.0], 120)
+            cases.append(("scaled", x * factor, DetectionParams(min_segment=10, seed=seed)))
+    return cases
+
+
+class TestRowCertification:
+    """Mean rows certified from their left sums at run starts cannot reach the observed score.
+
+    Certified rows skip the scan, so the exceedances of every block, and
+    with them the stopping block of every window, equal those of a run that
+    certifies nothing.
+    """
+
+    @pytest.mark.parametrize("path", ["shared", "tile"])
+    def test_certified_rows_stay_below_the_exact_observed_score(self, path, monkeypatch):
+        if path == "tile":
+            monkeypatch.setattr(changepoint_module, "_SHARED_CELLS", 0)
+            monkeypatch.setattr(changepoint_module, "_ROW_CACHE_CELLS", 0)
+        certified = []
+        real = changepoint_module._Window.certified
+
+        def recording(window, block):
+            mask = real(window, block)
+            certified.append((window, block[mask].copy()))
+            return mask
+
+        monkeypatch.setattr(changepoint_module._Window, "certified", recording)
+        checked = dict.fromkeys(["ties", "two_values", "flat", "scaled"], 0)
+        for kind, x, params in certification_cases():
+            certified.clear()
+            detect_change_points(TimeSeries("c", x), params)
+            for window, rows in certified:
+                if not len(rows):
+                    continue
+                # Each certified row permutes the centred window c; map it back onto w.
+                uncentre = dict(zip(window.c.tolist(), window.w.tolist()))
+                assert len(uncentre) == len(set(window.w.tolist()))
+                observed = exact_maximum(window.w.tolist(), params.min_segment)
+                for row in rows.tolist():
+                    top = exact_maximum([uncentre[v] for v in row], params.min_segment)
+                    assert not _fraction_ge(top, observed)
+                    checked[kind] += 1
+        assert all(checked.values()), checked
+
+    @pytest.mark.parametrize(
+        "offset, extra, n, ones",
+        [(0.0, 0, 37, 16), (0.0, 0, 221, 62), (2.0**36, 1, 213, 60), (2.0**40, 1, 213, 60), (2.0**36, 2, 229, 64)],
+    )
+    def test_tied_rows_at_the_edge_are_not_certified(self, offset, extra, n, ones):
+        # Values -1, 0 and 1 (``ones`` of each sign, ``extra`` more 1s), the
+        # last min_segment of them 1 and the 7 before them -1: the maximum is
+        # at the last split, which ends the last run of 8, and the left sum
+        # grows by the largest magnitude at each of the run's 7 steps, so the
+        # bound is tight. The window itself ties its observed score. An extra
+        # 1 makes the float mean, and with it the centring, round at large
+        # offsets, where the rounding band of the observed score is wide.
+        ms = 15
+        assert (n - 2 * ms) % 8 == 7
+        prefix = np.r_[np.ones(ones - ms + extra), -np.ones(ones - 7), np.zeros(n - 2 * ones - extra)]
+        x = np.r_[np.random.default_rng(5).permutation(prefix), -np.ones(7), np.ones(ms)] + offset
+        w, _ = changepoint_module._unit_scaled(x)
+        window = changepoint_module._Window(w, ms, Attribute.MEAN)
+        assert window.best + ms == n - ms and window.runs is not None
+        assert not window.certified(window.c[np.newaxis, :])[0]
+        # It misses the last run's limit by less than one value.
+        left = abs(np.cumsum(window.c)[n - ms - 8])
+        assert 0.0 <= left - window.runs[-1] < np.abs(window.c).max()
+
+    @pytest.mark.parametrize("path", ["shared", "tile"])
+    def test_blocks_match_a_run_without_certification(self, path, monkeypatch):
+        if path == "tile":
+            monkeypatch.setattr(changepoint_module, "_SHARED_CELLS", 0)
+            monkeypatch.setattr(changepoint_module, "_ROW_CACHE_CELLS", 0)
+        blocks = []
+        real = changepoint_module._Window.exceedances
+
+        def recording(window, block, *args):
+            count = real(window, block, *args)
+            blocks.append((window.w.size, block.shape, count))
+            return count
+
+        monkeypatch.setattr(changepoint_module._Window, "exceedances", recording)
+        cases = [case[1:] for case in certification_cases()]
+        cases += [(random_series(seed, n=400).values, DetectionParams(min_segment=15, seed=seed)) for seed in range(4)]
+        for x, params in cases:
+            blocks.clear()
+            points = detect_change_points(TimeSeries("c", x), params).points
+            expected = blocks.copy()
+            with monkeypatch.context() as patch:
+                patch.setattr(changepoint_module, "_run_limits", lambda *args: None)
+                blocks.clear()
+                assert detect_change_points(TimeSeries("c", x), params).points == points
+            assert blocks == expected
 
 
 def same_length_collection(kind, count=8):

@@ -254,6 +254,24 @@ class TestCsv:
             reference_write_matrix_csv(m, tmp_path / "values.csv")
             assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
 
+    def test_signed_zeros_opposite_each_other_keep_their_own_text(self, tmp_path):
+        # Construction checks symmetry with ==, under which -0.0 equals 0.0,
+        # but their reprs differ, so neither may be mirrored onto the other.
+        entries = np.array(
+            [
+                [0.0, -0.0, 0.0, 0.5],
+                [0.0, -0.0, 0.25, -0.0],
+                [-0.0, 0.25, 0.0, -0.0],
+                [0.5, 0.0, -0.0, -0.0],
+            ]
+        )
+        m = LabeledSquareMatrix(("a", "b", "c", "d"), entries, MatrixKind.CONSISTENCY)
+        write_matrix_csv(m, tmp_path / "rows.csv")
+        reference_write_matrix_csv(m, tmp_path / "values.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+        back = read_matrix_csv(tmp_path / "rows.csv", MatrixKind.CONSISTENCY).entries
+        assert np.array_equal(np.signbit(back), np.signbit(entries))
+
 
 def test_random_collections_satisfy_kind_invariants():
     rng = np.random.default_rng(9)
