@@ -73,7 +73,14 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     keys = [key for key in _OPTIONS if hasattr(args, key)]
     values = _read_config_file(args.config, keys) if args.config else {}
     values.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
-    return PipelineConfig(**{_OPTIONS[key][0]: _OPTIONS[key][1](text) for key, text in values.items()})
+    settings = {}
+    for key, text in values.items():
+        field, parse = _OPTIONS[key][:2]
+        try:
+            settings[field] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"bad value {text!r} for {key}: {exc}") from None
+    return PipelineConfig(**settings)
 
 
 def _make_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,8 @@ pinned down (smallest node-id pair wins), which the determinism contract
 needs; each merge is one masked argmin and one vectorised Lance-Williams
 row update. Spectral clustering embeds into the k smallest eigenvectors of
 the symmetric normalised Laplacian, row-normalises, and runs seeded
-k-means with farthest-point initialisation.
+k-means with farthest-point initialisation; without a given k it chooses
+k itself by the eigengap heuristic (``eigengap_k``).
 """
 
 from __future__ import annotations
@@ -193,14 +194,20 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300) -> tupl
     return labels, inertia
 
 
-def spectral_cluster(a: LabeledSquareMatrix, k: int, seed: int = 0) -> ClusterAssignment:
+def spectral_cluster(a: LabeledSquareMatrix, k: int | None = None, seed: int = 0) -> ClusterAssignment:
     """Normalised-Laplacian spectral clustering into k groups.
 
-    Reads the affinity view (``to_affinity``) of any matrix kind. Embeds into the k smallest eigenvectors of L_sym, row-normalises, and
-    picks the best of 10 seeded k-means restarts (farthest-point init);
-    ties go to the lowest restart index. Deterministic for fixed inputs.
+    Reads the affinity view (``to_affinity``) of any matrix kind. Without
+    a k, the count is ``eigengap_k`` of that view, and the result's ``k``
+    reports it. Embeds into the k smallest eigenvectors of L_sym,
+    row-normalises, and picks the best of 10 seeded k-means restarts
+    (farthest-point init); ties go to the lowest restart index.
+    Deterministic for fixed inputs.
     """
-    w = to_affinity(a).entries
+    a = to_affinity(a)
+    if k is None:
+        k = eigengap_k(a)
+    w = a.entries
     n = w.shape[0]
     if not 1 <= k <= n:
         raise BadK(f"k must be in 1..{n}, got {k}")

@@ -37,7 +37,6 @@ from .changepoint import (
 from .clustering import (
     ClusterAssignment,
     Linkage,
-    eigengap_k,
     hierarchical_cluster,
     spectral_cluster,
     to_newick,
@@ -271,13 +270,18 @@ def run_analysis(config: PipelineConfig) -> dict:
         consistency_norms = {name: matrix_norm(m) for name, m in cons.items()}
 
     out = _write_matrices(matrices, config)
+    # Matrices with bit-identical affinity views (a distance and its affinity)
+    # share one clustering.
+    by_view: dict[bytes, ClusterAssignment] = {}
     chosen_k = {}
     for name, m in matrices.items():
         affinity = to_affinity(m)
-        k = config.k if config.k is not None else eigengap_k(affinity)
-        assignment = spectral_cluster(affinity, k, config.seed)
+        key = affinity.entries.tobytes()
+        if key not in by_view:
+            by_view[key] = spectral_cluster(affinity, config.k, config.seed)
+        assignment = by_view[key]
         _write_assignment_csv(assignment, out / f"{name}_clusters.csv")
-        chosen_k[name] = k
+        chosen_k[name] = assignment.k
     summary = {
         **{f.name: getattr(config, f.name) for f in fields(DetectionParams)},
         "p": "inf" if config.p == float("inf") else config.p,

@@ -14,6 +14,7 @@ from stepdist import (
 )
 from stepdist.clustering import _sym_laplacian
 from stepdist.errors import BadK, DisconnectedDegenerate
+from stepdist.matrices import consistency_matrix
 
 
 def distance(labels, entries):
@@ -185,6 +186,35 @@ class TestSpectral:
     def test_zero_degree_rejected(self):
         with pytest.raises(DisconnectedDegenerate):
             _sym_laplacian(np.zeros((3, 3)))
+
+
+def four_kinds():
+    """A distance, an affinity, an alignment and a consistency matrix over 9 points in 3 groups."""
+    rng = np.random.default_rng(6)
+    points = np.repeat(rng.normal(0.0, 5.0, (3, 2)), 3, axis=0) + rng.normal(0.0, 0.5, (9, 2))
+    d = distance("abcdefghi", np.sqrt(((points[:, None] - points[None]) ** 2).sum(axis=2)))
+    unit = points / np.linalg.norm(points, axis=1)[:, None]
+    cosine = np.clip(unit @ unit.T, -1.0, 1.0)
+    cosine = (cosine + cosine.T) / 2.0
+    np.fill_diagonal(cosine, 1.0)
+    a = to_affinity(d)
+    om = LabeledSquareMatrix(d.labels, cosine, MatrixKind.ALIGNMENT)
+    return {"distance": d, "affinity": a, "alignment": om, "consistency": consistency_matrix(om, a)}
+
+
+class TestAutomaticK:
+    @pytest.mark.parametrize("kind", ["distance", "affinity", "alignment", "consistency"])
+    def test_no_k_clusters_into_the_eigengap_k(self, kind):
+        m = four_kinds()[kind]
+        k = eigengap_k(m)
+        auto = spectral_cluster(m, None, seed=9)
+        assert auto == spectral_cluster(m, k, seed=9)
+        assert auto.k == k
+        assert spectral_cluster(m, seed=9) == auto
+
+    def test_zero_k_is_not_the_automatic_choice(self):
+        with pytest.raises(BadK):
+            spectral_cluster(four_kinds()["affinity"], 0, seed=0)
 
 
 class TestEigengap:

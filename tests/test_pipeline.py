@@ -549,6 +549,19 @@ class TestCli:
         code = main(["run", "--series", str(src), "--out", str(tmp_path / "o"), "--p", "0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_unparseable_value_names_its_option(self, tmp_path, capsys, via_config):
+        argv = ["run", "--series", str(FIXTURE_SERIES), "--out", str(tmp_path / "o")]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("p = abc\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--p", "abc"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: bad value 'abc' for p: could not convert string to float: 'abc'\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["run", "compare-metrics"])
     @pytest.mark.parametrize("via_config", [False, True])
     def test_empty_out_is_config_error(self, tmp_path, monkeypatch, command, via_config):
@@ -665,3 +678,35 @@ class TestGeoFixturePipeline:
             newick = (out / f"{name}_dendrogram.nwk").read_text().strip()
             # the planted anomaly is the last leaf to merge: a direct child of the root
             assert newick.startswith("(foxtrot:")
+
+    @pytest.mark.parametrize("metadata, passes", [(False, 3), (True, 7)])
+    def test_one_spectral_pass_per_distinct_affinity_view(self, tmp_path, monkeypatch, metadata, passes):
+        # A distance matrix and its affinity have the same affinity view, so
+        # they share one clustering and one automatic k.
+        calls = {"spectral_cluster": 0, "eigengap_k": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(stepdist.pipeline, "spectral_cluster")
+        counted(stepdist.clustering, "eigengap_k")
+        out = tmp_path / "out"
+        summary = run_analysis(
+            PipelineConfig(
+                series_path=str(FIXTURE_SERIES),
+                metadata_path=str(FIXTURE_STATIONS) if metadata else None,
+                out_dir=str(out),
+            )
+        )
+        assert calls == {"spectral_cluster": passes, "eigengap_k": passes}
+        assert sorted(summary["spectral_k"]) == sorted(list(MATRIX_KINDS)[: 10 if metadata else 5])
+        pairs = [("distance_unscaled", "affinity_unscaled"), ("distance_normalized", "affinity_normalized")]
+        for dist, aff in pairs + ([("geo_distance", "affinity_geo")] if metadata else []):
+            assert summary["spectral_k"][dist] == summary["spectral_k"][aff]
+            assert (out / f"{dist}_clusters.csv").read_bytes() == (out / f"{aff}_clusters.csv").read_bytes()
