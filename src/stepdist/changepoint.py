@@ -59,21 +59,20 @@ full permutation test computes there.
 Everything is deterministic: the permutation stream for a window is
 derived from ``(seed, window start, window end)``, so results do not
 depend on the order windows are tested in and are reproducible bit-for-bit.
-The whole-series window (0, n) draws the same stream for every series of
-a collection, as they all have length n, so its permutations are drawn
-once per series length, seed and permutation count, as rows of indices
-that each series gathers its values through. A shuffle's draws depend
-only on the row length, so every gathered row is the row the window's own
-stream would permute, and results are unchanged. The index table is
-shared up to 2^21 cells (4 MiB as uint16); a longer whole-series window
-permutes its values. Sub-windows share their index rows the same way,
-through one cache of the most recently tested windows: 2^19 cells (1 MiB as
-uint16) in all, and a window of at most a quarter of that; larger windows
-permute their values. Rows are drawn as they are first read, so a window
-that stops early draws only what it scans. The pipeline detects the series
-of a collection in order of their whole-window split, so series that go on
-to test the same sub-windows run back to back and find their rows cached;
-results are unchanged.
+Every permutation row is a row of indices that the window gathers its
+values through. A shuffle's draws depend only on the row length, so each
+gathered row is the row the window's own stream would permute. Rows are
+drawn as they are first read, so a window that stops early draws only what
+it scans, and they are either kept or streamed. The whole-series window
+(0, n) draws the same stream for every series of a collection, as they all
+have length n, so its rows are kept once per series length, seed and
+permutation count, up to 2^21 cells (4 MiB as uint16). Sub-windows keep
+theirs in one cache of the most recently tested windows: 2^19 cells (1 MiB
+as uint16) in all, and a window of at most a quarter of that. A larger
+window streams its rows, one block at a time, into its own index buffer.
+The pipeline detects the series of a collection in order of their
+whole-window split, so series that go on to test the same sub-windows run
+back to back and find their rows kept; results are unchanged.
 """
 
 from __future__ import annotations
@@ -125,14 +124,14 @@ class TimeSeries:
         return self.values.size - 1
 
 
-def _integral(p) -> int:
-    """p as an int; integral floats and numpy ints pass, nan, inf and fractions do not."""
+def _integral(value, what: str = "change points must be integers", error: type[Exception] = ValueError) -> int:
+    """``value`` as an int; integral floats and numpy ints pass, bools, nan, inf and fractions raise ``error``."""
     try:
-        i = int(p)
-    except (OverflowError, ValueError):
+        i = None if isinstance(value, (bool, np.bool_)) else int(value)
+    except (OverflowError, TypeError, ValueError):
         i = None
-    if i is None or i != p:
-        raise ValueError(f"change points must be integers, got {p!r}")
+    if i is None or i != value:
+        raise error(f"{what}, got {value!r}")
     return i
 
 
@@ -174,7 +173,14 @@ class DetectionParams:
     seed: int = 0
 
     def __post_init__(self):
+        """Check every setting, storing the attribute as an Attribute, significance as a float and the rest as ints."""
         object.__setattr__(self, "attribute", Attribute(self.attribute))
+        try:
+            object.__setattr__(self, "significance", float(self.significance))
+        except (TypeError, ValueError):
+            raise ValueError(f"significance must be a number, got {self.significance!r}") from None
+        for name in ("min_segment", "permutations", "seed"):
+            object.__setattr__(self, name, _integral(getattr(self, name), f"{name} must be an integer"))
         if not 0.0 < self.significance < 1.0:
             raise ValueError(f"significance must be in (0, 1), got {self.significance}")
         floor = 2 if self.attribute is Attribute.MEAN else 3
@@ -237,32 +243,41 @@ def _window_rng(seed: int, lo: int, hi: int) -> np.random.Generator:
 
 
 class _WindowRows:
-    """The ``b`` permutation rows of window (lo, hi) as indices, drawn on demand in row order.
+    """The ``b`` permutation rows of window (lo, hi) as indices, drawn in row order as they are read.
 
     Row r permutes 0..L-1 (L = hi - lo) exactly as row r of
     ``_window_rng(seed, lo, hi)`` permutes the window's values, as a
-    shuffle's draws depend only on the row length, so ``w.take(rows[i:j])``
-    is rows i..j-1 of the window. Rows i..j-1 are drawn the first time they
-    are read, continuing the window's stream, by permuting rows of 8-byte
-    indices (numpy's fastest shuffle), and are kept in the smallest
-    unsigned dtype. Slices are read-only.
+    shuffle's draws depend only on the row length, so ``w.take(index)`` is
+    the window's own permutation. Rows are drawn the first time they are
+    read, continuing the window's stream, by permuting rows of 8-byte
+    indices (numpy's fastest shuffle). Kept rows (``keep``) are stored in
+    the smallest unsigned dtype, so any of them can be read again; streamed
+    rows are drawn straight into the reader's buffer and read once, in order.
     """
 
-    def __init__(self, seed: int, lo: int, hi: int, b: int):
+    def __init__(self, seed: int, lo: int, hi: int, b: int, keep: bool = True):
         self._rng = _window_rng(seed, lo, hi)
-        self._table = np.empty((b, hi - lo), dtype=np.min_scalar_type(hi - lo - 1))
+        self._table = np.empty((b, hi - lo), dtype=np.min_scalar_type(hi - lo - 1)) if keep else None
         self._drawn = 0
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
+    def _draw(self, out: np.ndarray) -> np.ndarray:
+        """The next ``len(out)`` rows of the stream, written into the intp array ``out``."""
+        out[...] = np.arange(out.shape[1])
+        self._rng.permuted(out, axis=1, out=out)
+        self._drawn += len(out)
+        return out
+
+    def read(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Rows start .. start + len(out) - 1 in the intp array ``out``; streamed rows need start = rows read."""
+        if self._table is None:
+            return self._draw(out)
+        stop = start + len(out)
         with _ROWS_LOCK:
-            if rows.stop > self._drawn:
-                fresh = np.tile(np.arange(self._table.shape[1], dtype=np.intp), (rows.stop - self._drawn, 1))
-                self._rng.permuted(fresh, axis=1, out=fresh)
-                self._table[self._drawn : rows.stop] = fresh
-                self._drawn = rows.stop
-        view = self._table[rows]
-        view.flags.writeable = False
-        return view
+            drawn = self._drawn
+            if stop > drawn:
+                self._table[drawn:stop] = self._draw(np.empty((stop - drawn, out.shape[1]), np.intp))
+        np.copyto(out, self._table[start:stop])
+        return out
 
 
 # Guards every cache lookup and row extension, so that threads detecting at
@@ -271,6 +286,7 @@ _ROWS_LOCK = threading.Lock()
 
 # The whole-series window shares its rows per (seed, n, b) while
 # b * n <= _SHARED_CELLS; one entry is kept, as a run reads one collection.
+# A longer whole-series window streams its rows.
 _SHARED_CELLS = 2**21
 
 
@@ -283,7 +299,7 @@ def _whole_window_permutations(seed: int, n: int, b: int) -> _WindowRows:
 # Sub-windows share their rows through one LRU of recently tested windows,
 # keyed by (seed, lo, hi, b). It holds at most _ROW_CACHE_CELLS cells (1 MiB
 # as uint16) and admits a window of at most a quarter of that; larger windows
-# permute their values. Series that split alike test the same sub-windows,
+# stream their rows. Series that split alike test the same sub-windows,
 # and the pipeline detects them back to back, so a small cache catches most
 # repeats.
 _ROW_CACHE_CELLS = 2**19
@@ -297,11 +313,11 @@ class _RowCache:
         self.cells = 0
         self.hits = 0
 
-    def rows(self, seed: int, lo: int, hi: int, b: int) -> _WindowRows | None:
-        """The shared rows of window (lo, hi), or None when the window is too large to cache."""
+    def rows(self, seed: int, lo: int, hi: int, b: int) -> _WindowRows:
+        """The rows of window (lo, hi): shared, or streamed when the window is too large to cache."""
         cells = b * (hi - lo)
         if 4 * cells > _ROW_CACHE_CELLS:
-            return None
+            return _WindowRows(seed, lo, hi, b, keep=False)
         key = (seed, lo, hi, b)
         with _ROWS_LOCK:
             rows = self.entries.pop(key, None)
@@ -592,8 +608,7 @@ class _Window:
     def __init__(self, w: np.ndarray, min_segment: int, attribute: Attribute):
         mean = attribute is Attribute.MEAN
         self.w, self.ms, self.attribute = w, min_segment, attribute
-        self.m = w.mean() if mean else 0.0
-        self.c = w - self.m if mean else w
+        self.c = w - w.mean() if mean else w
         self.band, e = _VARIANCE_BAND, 0.0
         if mean:
             a, e = _sum_error(self.c)
@@ -630,15 +645,16 @@ class _Window:
         sums -= self.runs
         return sums.max(axis=1) < 0.0
 
-    def exceedances(self, block: np.ndarray, uncentred, work: np.ndarray | None = None) -> int:
-        """How many rows of ``block`` reach the observed score exactly.
+    def exceedances(self, index: np.ndarray, work: np.ndarray | None = None) -> int:
+        """How many of the permutation rows ``index`` reach the observed score exactly.
 
-        ``block`` holds permutation rows of ``c``, and ``uncentred(r)`` is
-        row r of ``w`` in the same order, for the exact decision. Mean rows
+        Each row of ``index`` permutes the window's positions; the scan
+        gathers ``c`` through it, and the exact decision ``w``. Mean rows
         are certified first, and only the rest are scanned, until a block
         certifies none: from then on every row of the window is scanned.
         ``work`` is the variance scan's scratch space.
         """
+        block = self.c.take(index)  # for the mean, the bits of w.take(index) - mean
         kept = None
         if self.runs is not None:
             certified = self.certified(block)
@@ -658,7 +674,7 @@ class _Window:
             if self.target is None:
                 self.target = _exact_scores(self.w, np.array([self.best + ms]), ms, attribute, self.profile)[0]
             splits = np.flatnonzero(_bounds(stats[r], attribute, self.band)[1] >= self.low_obs) + ms
-            row = uncentred(int(r if kept is None else kept[r]))
+            row = self.w.take(index[r if kept is None else kept[r]])
             scores = _exact_scores(row, splits, ms, attribute, stats[r])
             count += any(_at_least(s, self.target) for s in scores)
         return count
@@ -690,7 +706,6 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
     # <= significance, found with that exact expression so that rounding
     # cannot move the boundary. Exceedances only grow as permutations run.
     limit = bisect.bisect_right(range(b + 1), params.significance, key=lambda k: (1 + k) / (b + 1)) - 1
-    mean = attribute is Attribute.MEAN
 
     windows = [(0, n)]
     while windows:
@@ -700,33 +715,24 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         w, _ = _unit_scaled(x[lo:hi])
         window = _Window(w, ms, attribute)
         max_rows = max(1, _BLOCK_CELLS[attribute] // w.size)
-        if hi - lo == n:
-            table = _whole_window_permutations(params.seed, n, b) if b * n <= _SHARED_CELLS else None
+        if hi - lo < n:
+            source = _ROW_CACHE.rows(params.seed, lo, hi, b)
+        elif b * n <= _SHARED_CELLS:
+            source = _whole_window_permutations(params.seed, n, b)
         else:
-            table = _ROW_CACHE.rows(params.seed, lo, hi, b)
-        rng = _window_rng(params.seed, lo, hi) if table is None else None
+            source = _WindowRows(params.seed, lo, hi, b, keep=False)
         exceed = done = 0
         rows = _FIRST_BLOCK_ROWS
-        work = None if mean else np.empty((4, min(b, max_rows) * w.size))
-        # take() turns uint16 index rows into a fresh intp array on every
-        # call; casting them into one buffer per window costs less.
-        ibuf = None if table is None else np.empty((min(b, max_rows), w.size), np.intp)
+        work = None if attribute is Attribute.MEAN else np.empty((4, min(b, max_rows) * w.size))
+        # Rows are read into one intp buffer per window: take() would turn
+        # uint16 rows into a fresh intp array on every call.
+        ibuf = np.empty((min(b, max_rows), w.size), np.intp)
         # Past the limit the split is rejected; once the permutations left
         # cannot pass it, the split is accepted.
         while exceed <= limit and exceed + (b - done) > limit:
             # A block ends where acceptance becomes certain if it adds no exceedance.
             take = min(rows, max_rows, b - done - (limit - exceed))
-            if table is None:
-                raw = np.tile(w, (take, 1))
-                rng.permuted(raw, axis=1, out=raw)
-                block = raw - window.m if mean else raw
-                uncentred = raw.__getitem__
-            else:
-                index = ibuf[:take]
-                np.copyto(index, table[done : done + take])
-                block = window.c.take(index)  # the bits of w.take(index) - m
-                uncentred = lambda r, index=index: w.take(index[r])  # noqa: E731
-            exceed += window.exceedances(block, uncentred, work)
+            exceed += window.exceedances(source.read(done, ibuf[:take]), work)
             done += take
             rows *= 2
         if exceed <= limit:

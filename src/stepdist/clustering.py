@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 
+from .changepoint import _integral
 from .errors import BadK, DisconnectedDegenerate
 from .matrices import LabeledSquareMatrix, MatrixKind, to_affinity
 
@@ -57,6 +58,14 @@ class ClusterAssignment:
         used = set(self.assignments)
         if used != set(range(self.k)):
             raise ValueError(f"every cluster 0..{self.k - 1} must be nonempty, got {sorted(used)}")
+
+
+def _check_k(k, n: int) -> int:
+    """k as an int in 1..n; a k that is not integral or out of range raises BadK."""
+    k = _integral(k, "k must be an integer", BadK)
+    if not 1 <= k <= n:
+        raise BadK(f"k must be in 1..{n}, got {k}")
+    return k
 
 
 def _numbered(labels: tuple[str, ...], keys, k: int) -> ClusterAssignment:
@@ -121,8 +130,7 @@ def cut_dendrogram(d: Dendrogram, k: int) -> ClusterAssignment:
     Cluster indices follow first appearance in label order.
     """
     n = len(d.labels)
-    if not 1 <= k <= n:
-        raise BadK(f"k must be in 1..{n}, got {k}")
+    k = _check_k(k, n)
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     for t, (i, j, _, _) in enumerate(d.merges[: n - k]):
         members[n + t] = members.pop(i) + members.pop(j)
@@ -208,9 +216,7 @@ def spectral_cluster(a: LabeledSquareMatrix, k: int | None = None, seed: int = 0
     if k is None:
         k = eigengap_k(a)
     w = a.entries
-    n = w.shape[0]
-    if not 1 <= k <= n:
-        raise BadK(f"k must be in 1..{n}, got {k}")
+    k = _check_k(k, w.shape[0])
     _, vecs = np.linalg.eigh(_sym_laplacian(w))
     emb = vecs[:, :k]
     row_norms = np.linalg.norm(emb, axis=1)

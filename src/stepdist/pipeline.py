@@ -30,6 +30,7 @@ from .changepoint import (
     ChangePointSet,
     DetectionParams,
     TimeSeries,
+    _integral,
     _scan_profile,
     _unit_scaled,
     detect_change_points,
@@ -77,10 +78,13 @@ class PipelineConfig(DetectionParams):
     out_dir: str | None = None
 
     def __post_init__(self):
-        """Reject bad settings before any input is read."""
-        _check_p(self.p)
-        if self.k is not None and self.k < 1:
-            raise BadK(f"k must be >= 1, got {self.k}")
+        """Reject bad settings before any input is read, storing p as a float, linkage as a Linkage and k as an int."""
+        object.__setattr__(self, "p", _check_p(self.p))
+        object.__setattr__(self, "linkage", Linkage(self.linkage))
+        if self.k is not None:
+            object.__setattr__(self, "k", _integral(self.k, "k must be an integer", BadK))
+            if self.k < 1:
+                raise BadK(f"k must be >= 1, got {self.k}")
         super().__post_init__()
 
 

@@ -227,41 +227,86 @@ class TestSequentialCalibration:
     def test_blockwise_permutation_equals_one_shot_stream(self):
         for n, dtype in ((256, np.uint8), (300, np.uint16)):
             w = np.random.default_rng(0).standard_normal(n)
+            # The window's own stream permuting its values, all 199 rows at once.
             one_shot = np.tile(w, (199, 1))
             changepoint_module._window_rng(5, 0, n).permuted(one_shot, axis=1, out=one_shot)
-            rng = changepoint_module._window_rng(5, 0, n)
-            # The whole-series window gathers the same blocks from index rows drawn on demand.
-            table = changepoint_module._whole_window_permutations(5, n, 199)
-            assert table[0:1].dtype == dtype and not table[0:1].flags.writeable
-            blocks = []
-            for rows in (16, 32, 64, 1, 3, 83):
-                block = np.tile(w, (rows, 1))
-                rng.permuted(block, axis=1, out=block)
-                done = sum(len(b) for b in blocks)
-                assert np.array_equal(w[table[done : done + rows]], block)
-                blocks.append(block)
-            assert np.array_equal(np.vstack(blocks), one_shot)
+            # The whole-series window's kept rows, and the same window's rows streamed.
+            kept = changepoint_module._whole_window_permutations(5, n, 199)
+            assert kept._table.dtype == dtype
+            streamed = changepoint_module._WindowRows(5, 0, n, 199, keep=False)
+            assert streamed._table is None
+            for rows in (kept, streamed):
+                done = 0
+                for take in (16, 32, 64, 1, 3, 83):
+                    index = rows.read(done, np.empty((take, n), np.intp))
+                    assert np.array_equal(w.take(index), one_shot[done : done + take])
+                    done += take
+                assert done == 199
 
-    @pytest.mark.parametrize("lo, hi, dtype", [(40, 296, np.uint8), (7, 307, np.uint16)])
+    # At b = 199 the row cache keeps a window of up to 658 samples (130,942
+    # cells, at most a quarter of _ROW_CACHE_CELLS); one of 659 streams.
+    @pytest.mark.parametrize(
+        "lo, hi, dtype", [(40, 296, np.uint8), (7, 307, np.uint16), (5, 663, np.uint16), (5, 664, None)]
+    )
     def test_lazy_rows_equal_one_shot_stream(self, lo, hi, dtype):
         w = np.random.default_rng(1).standard_normal(hi - lo)
         one_shot = np.tile(w, (199, 1))
         changepoint_module._window_rng(9, lo, hi).permuted(one_shot, axis=1, out=one_shot)
-        rows = changepoint_module._WindowRows(9, lo, hi, 199)
-        # Uneven extensions, re-reads of drawn rows, and reads that reach past them.
-        for start, stop in ((0, 3), (0, 10), (10, 11), (5, 40), (40, 41), (2, 150), (150, 199), (0, 199)):
-            got = rows[start:stop]
-            assert got.dtype == dtype and not got.flags.writeable
+        cache = changepoint_module._ROW_CACHE
+        cache.clear()
+        rows = cache.rows(9, lo, hi, 199)
+        assert ((9, lo, hi, 199) in cache.entries) == (dtype is not None)
+        if dtype is None:
+            # Streamed rows are read once, in order, over uneven blocks.
+            assert rows._table is None
+            reads = ((0, 3), (3, 10), (10, 11), (11, 40), (40, 41), (41, 150), (150, 199))
+        else:
+            # Uneven extensions, re-reads of drawn rows, and reads that reach past them.
+            assert rows._table.dtype == dtype
+            reads = ((0, 3), (0, 10), (10, 11), (5, 40), (40, 41), (2, 150), (150, 199), (0, 199))
+        for start, stop in reads:
+            got = rows.read(start, np.empty((stop - start, hi - lo), np.intp))
             assert np.array_equal(w.take(got), one_shot[start:stop])
+        cache.clear()
+
+    @pytest.mark.parametrize(
+        "attribute, levels", [(Attribute.MEAN, [0.0, 2.0, 8.0, 6.0]), (Attribute.VARIANCE, [1.5, 1.0, 8.0, 4.0])]
+    )
+    def test_sub_windows_at_the_cache_edge_match_full_test(self, attribute, levels, monkeypatch):
+        # 1317 samples with a shift at every quarter, the largest in the
+        # middle: the first split leaves (0, 658), whose rows are kept, and
+        # (658, 1317), whose rows stream, and both split again.
+        rng = np.random.default_rng(43)
+        level = np.repeat(levels, [329, 329, 330, 329])
+        noise = rng.standard_normal(1317)
+        ts = TimeSeries("edge", noise + level if attribute is Attribute.MEAN else noise * level)
+        params = DetectionParams(attribute=attribute, min_segment=30)
+        cache = changepoint_module._ROW_CACHE
+        cache.clear()
+        windows = []
+        real = cache.rows
+
+        def recording(seed, lo, hi, b):
+            rows = real(seed, lo, hi, b)
+            windows.append((lo, hi, rows._table is not None))
+            return rows
+
+        monkeypatch.setattr(cache, "rows", recording)
+        points = detect_change_points(ts, params).points
+        assert points == full_test(ts, params)
+        assert windows[0] == (0, 658, True) and (658, 1317, False) in windows
+        assert all(kept == (hi - lo <= 658) for lo, hi, kept in windows)
+        assert any(c < 658 for c in points) and any(c > 658 for c in points)
+        cache.clear()
 
     def test_stops_early_and_bounds_blocks(self, monkeypatch):
         # Gathered blocks, not scans: certified mean rows never reach ``_scan``.
         blocks, scans = [], []
         gather, scan = changepoint_module._Window.exceedances, changepoint_module._scan
 
-        def gathering(window, block, *args):
-            blocks.append(block.shape)
-            return gather(window, block, *args)
+        def gathering(window, index, *args):
+            blocks.append(index.shape)
+            return gather(window, index, *args)
 
         def scanning(rows, *args):
             scans.append(rows.shape)
@@ -349,9 +394,9 @@ class TestRowCertification:
     certifies nothing.
     """
 
-    @pytest.mark.parametrize("path", ["shared", "tile"])
+    @pytest.mark.parametrize("path", ["shared", "streamed"])
     def test_certified_rows_stay_below_the_exact_observed_score(self, path, monkeypatch):
-        if path == "tile":
+        if path == "streamed":
             monkeypatch.setattr(changepoint_module, "_SHARED_CELLS", 0)
             monkeypatch.setattr(changepoint_module, "_ROW_CACHE_CELLS", 0)
         certified = []
@@ -404,17 +449,29 @@ class TestRowCertification:
         left = abs(np.cumsum(window.c)[n - ms - 8])
         assert 0.0 <= left - window.runs[-1] < np.abs(window.c).max()
 
-    @pytest.mark.parametrize("path", ["shared", "tile"])
+    def test_tied_row_among_certified_rows_is_decided_on_its_own_values(self):
+        # Two random permutations of a window with a clear split, which are
+        # certified, and the window itself between them, which ties the
+        # observed score exactly and so counts as an exceedance.
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(200) + np.repeat([0.0, 4.0], 100)
+        w, _ = changepoint_module._unit_scaled(x)
+        window = changepoint_module._Window(w, 10, Attribute.MEAN)
+        index = np.array([rng.permutation(200), np.arange(200), rng.permutation(200)])
+        assert window.certified(window.c.take(index)).tolist() == [True, False, True]
+        assert window.exceedances(index) == 1
+
+    @pytest.mark.parametrize("path", ["shared", "streamed"])
     def test_blocks_match_a_run_without_certification(self, path, monkeypatch):
-        if path == "tile":
+        if path == "streamed":
             monkeypatch.setattr(changepoint_module, "_SHARED_CELLS", 0)
             monkeypatch.setattr(changepoint_module, "_ROW_CACHE_CELLS", 0)
         blocks = []
         real = changepoint_module._Window.exceedances
 
-        def recording(window, block, *args):
-            count = real(window, block, *args)
-            blocks.append((window.w.size, block.shape, count))
+        def recording(window, index, *args):
+            count = real(window, index, *args)
+            blocks.append((window.w.size, index.shape, count))
             return count
 
         monkeypatch.setattr(changepoint_module._Window, "exceedances", recording)
@@ -580,7 +637,8 @@ class TestSharedSubWindows:
 
         def recording(seed, lo, hi, b):
             rows = real(seed, lo, hi, b)
-            admitted.append(rows is not None)
+            admitted.append((seed, lo, hi, b) in cache.entries)
+            assert (rows._table is not None) == admitted[-1]
             return rows
 
         monkeypatch.setattr(cache, "rows", recording)
@@ -853,6 +911,32 @@ class TestValidation:
         DetectionParams(attribute=Attribute.MEAN, min_segment=2)
         with pytest.raises(ValueError):
             DetectionParams(attribute=Attribute.VARIANCE, min_segment=2)
+
+    def test_settings_stored_as_python_numbers(self):
+        params = DetectionParams(
+            significance=np.float64(0.05), min_segment=30.0, permutations=np.int64(99), seed=np.uint8(7)
+        )
+        assert params == DetectionParams(significance=0.05, min_segment=30, permutations=99, seed=7)
+        fields = ("significance", "min_segment", "permutations", "seed")
+        assert [type(getattr(params, f)) for f in fields] == [float, int, int, int]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_segment", 30.5),
+            ("permutations", 99.5),
+            ("seed", np.float64(0.25)),
+            ("seed", "7"),
+            ("permutations", True),
+        ],
+    )
+    def test_fractional_settings_name_their_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            DetectionParams(**{field: value})
+
+    def test_significance_must_be_a_number(self):
+        with pytest.raises(ValueError, match="significance must be a number"):
+            DetectionParams(significance="often")
 
     def test_permutations_positive(self):
         with pytest.raises(ValueError):

@@ -100,11 +100,17 @@ class TestCut:
         cut = cut_dendrogram(dend, 2)
         assert cut.assignments == (0, 0, 1, 1)
 
-    @pytest.mark.parametrize("k", [0, 5])
+    @pytest.mark.parametrize("k", [0, 5, 2.5, True, "2"])
     def test_bad_k(self, k):
         dend = hierarchical_cluster(two_block_matrix())
         with pytest.raises(BadK):
             cut_dendrogram(dend, k)
+
+    @pytest.mark.parametrize("k", [2.0, np.int64(2), np.float32(2.0)])
+    def test_integral_k_is_an_int(self, k):
+        dend = hierarchical_cluster(two_block_matrix())
+        cut = cut_dendrogram(dend, k)
+        assert cut == cut_dendrogram(dend, 2) and type(cut.k) is int
 
 
 class TestNewick:
@@ -170,6 +176,18 @@ class TestSpectral:
         a = block_affinity("ab", [(0, 1)])
         with pytest.raises(BadK):
             spectral_cluster(a, 3, seed=0)
+
+    @pytest.mark.parametrize("k", [1.5, np.float64(0.5), True, "1"])
+    def test_non_integral_k(self, k):
+        a = block_affinity("ab", [(0, 1)])
+        with pytest.raises(BadK):
+            spectral_cluster(a, k, seed=0)
+
+    @pytest.mark.parametrize("k", [2.0, np.int64(2), np.float32(2.0)])
+    def test_integral_k_is_an_int(self, k):
+        a = block_affinity("abcd", [(0, 1), (2, 3)])
+        got = spectral_cluster(a, k, seed=0)
+        assert got == spectral_cluster(a, 2, seed=0) and type(got.k) is int
 
     def test_any_kind_clusters_through_its_affinity_view(self):
         d = two_block_matrix()

@@ -22,6 +22,7 @@ from stepdist import (
     read_matrix_csv,
 )
 from stepdist.cli import main
+from stepdist.clustering import Linkage
 from stepdist.errors import AllMissingColumn, BadK, DuplicateStation, EmptySet, IdMismatch, InputError, UnparseableCell
 from stepdist.pipeline import PipelineConfig, _embed_all, compare_metrics, run_analysis
 
@@ -388,6 +389,44 @@ class TestConfig:
         run_analysis(config)
         assert len(seen) == 6 and all(params is config for params in seen)
 
+    def test_settings_stored_in_their_own_types(self):
+        config = PipelineConfig(p="2", linkage="complete", k=2.0, attribute="variance", min_segment=np.int64(30))
+        assert config == PipelineConfig(
+            p=2.0, linkage=Linkage.COMPLETE, k=2, attribute=Attribute.VARIANCE, min_segment=30
+        )
+        assert [type(v) for v in (config.p, config.linkage, config.k, config.min_segment)] == [float, Linkage, int, int]
+
+    def test_typed_settings_write_the_canonical_outputs(self, tmp_path):
+        # Strings and numpy numbers give the bytes of the Python values they stand for.
+        common = dict(series_path=str(FIXTURE_SERIES), metadata_path=str(FIXTURE_STATIONS))
+        canonical = dict(
+            attribute=Attribute.VARIANCE,
+            p=2.0,
+            significance=0.1,
+            min_segment=25,
+            permutations=99,
+            linkage=Linkage.COMPLETE,
+            k=2,
+            seed=7,
+        )
+        typed = dict(
+            attribute="variance",
+            p="2",
+            significance=np.float64(0.1),
+            min_segment=np.int64(25),
+            permutations=99.0,
+            linkage="complete",
+            k=np.float64(2.0),
+            seed=np.uint8(7),
+        )
+        outputs = []
+        for name, settings in (("canonical", canonical), ("typed", typed)):
+            out = tmp_path / name
+            run_analysis(PipelineConfig(out_dir=str(out), **common, **settings))
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 31
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize(
         "bad, error, message",
         [
@@ -395,6 +434,11 @@ class TestConfig:
             (dict(k=0, significance=2.0), BadK, "k must be"),
             (dict(significance=2.0, min_segment=1), ValueError, "significance must be"),
             (dict(attribute="variance", min_segment=2), ValueError, "min_segment must be >= 3"),
+            (dict(k=2.5), BadK, "k must be an integer"),
+            (dict(k=True), BadK, "k must be an integer"),
+            (dict(linkage="median"), ValueError, "median"),
+            (dict(p="two"), ValueError, "two"),
+            (dict(min_segment=30.5), ValueError, "min_segment must be an integer"),
         ],
     )
     def test_first_bad_setting_reported(self, bad, error, message):
