@@ -25,20 +25,25 @@ The mean scan does not compute the t-statistic itself. Every permutation
 of a window has the same sum and total sum of squares (TSS), so the
 pooled t-statistic is a monotone function of the score
 u = S^2 / (n_l * n_r), where S is the left sum of the window centred
-once on its mean: t^2 = (n - 2) v / (1 - v) with v = n u / TSS. Mean rows
-are scanned at two levels. A row is first read only at the start of each
-run of 8 splits: when its left sums there, widened by the most a run can
-add and by their rounding error, keep every split's exact u below the
-observed score, the row is certified, as it cannot be an exceedance. Only
-the rows left get the full scan: one cumulative sum, a square and a
-multiply. A window stops certifying once one of its blocks certifies no
-row, which happens where the split is rejected.
+once on its mean: t^2 = (n - 2) v / (1 - v) with v = n u / TSS.
 
 The variance scan computes the ratio F = max(var_l / var_r, var_r / var_l)
 of the side variances. It runs in place, in scratch space that the blocks
 of a window reuse, on blocks of at most 2^15 cells, so that its arrays stay
 in one core's L2 cache; it performs the operations of the plain expressions
 in the same order, so every score is unchanged.
+
+Rows of both attributes are scanned at two levels. A row of the window
+centred once on its mean is first read only at the start of each run of 8
+splits: its left sums there (for the mean), or its left sums and sums of
+squares (for the variance), widened by the most a run can add and by their
+rounding error, may prove that every split's exact score stays below the
+observed one. The row is then certified, as it cannot be an exceedance; a
+certified variance row also has no split within rounding of a flat side.
+Only the rows left get the full scan; the variance scan still gathers them
+from the uncentred window and centres each row itself, so no float score
+depends on certification. A window stops certifying once one of its blocks certifies no row, which
+happens where the split is rejected.
 
 Ties count as exceedances, and they are decided exactly. Every float
 score lies within a proven rounding band of the exact one: an absolute
@@ -85,6 +90,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,7 +214,9 @@ class DetectionParams:
 #   place, two side variances and the ratio), 1.5 MiB at 2^15 cells, inside
 #   the 2 MiB L2 of one core of the 2-CPU Xeon measured. On `long_variance`
 #   (8 x 8000, seed 77) detection took 1.30, 1.13, 1.04, 1.05 and 1.13 s
-#   at caps 2^13 to 2^17 (medians of 5 rounds).
+#   at caps 2^13 to 2^17 (medians of 5 rounds) before variance rows were
+#   certified, and 0.73, 0.61, 0.47, 0.50 and 0.48 s with certification
+#   (medians of 5 rounds in one process, the whole-series rows drawn once).
 # - mean: three (the block, gathered already centred, its cumulative sum
 #   and the scores), 3 MiB at 2^17 cells, and far less where certified rows
 #   skip the scan. No smaller mean cap has yet shown a gain over whole
@@ -216,11 +224,13 @@ class DetectionParams:
 _FIRST_BLOCK_ROWS = 16
 _BLOCK_CELLS = {Attribute.MEAN: 2**17, Attribute.VARIANCE: 2**15}
 
-# Mean rows are certified from their left sums at the start of each run of
-# _CERTIFY_RUN consecutive splits (``_run_limits``) before any is scanned.
-# Longer runs read fewer sums but loosen the bound: on the benchmark's
-# `reference` collection (seed 77), runs of 4, 8, 16 and 32 certified 92%,
-# 86%, 80% and 47% of the rows of accepted windows.
+# Rows are certified from their sums at the start of each run of
+# _CERTIFY_RUN consecutive splits (``_run_limits``, ``_variance_run_limits``)
+# before any is scanned. Longer runs read fewer sums but loosen the bound: on
+# the benchmark's `reference` collection (seed 77), runs of 4, 8, 16 and 32
+# certified 92%, 86%, 80% and 47% of the mean rows of accepted windows, and
+# on `long_variance` (seed 77) runs of 8 certify 5,358 of its 5,859 variance
+# rows.
 _CERTIFY_RUN = 8
 
 
@@ -341,11 +351,33 @@ class _RowCache:
 _ROW_CACHE = _RowCache()
 
 
-def _split_sizes(n: int, min_segment: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left sizes n_l, right sizes n_r and 1/(n_l * n_r) of every admissible split."""
+class _Splits(NamedTuple):
+    """The admissible splits of a window and their runs of _CERTIFY_RUN, as read-only float arrays."""
+
+    n_l: np.ndarray  # left size of each split
+    n_r: np.ndarray  # right size of each split
+    inv_prod: np.ndarray  # 1 / (n_l * n_r)
+    starts: np.ndarray  # first split of each run (its n_l)
+    ends: np.ndarray  # last split of each run
+    prod: np.ndarray  # smallest n_l * n_r of each run
+
+
+# Window lengths recur across a collection: with 128 entries, 77%, 93% and
+# 91% of the windows of `reference`, `wide_short` and `compare_wide` (seed
+# 77) find their tables, which saves about 30 us of the set-up of a window
+# of 700 samples. The 45 distinct windows of `long_variance` keep 2.3 MB.
+@functools.lru_cache(maxsize=128)
+def _split_sizes(n: int, min_segment: int) -> _Splits:
+    """The split sizes and run tables of every window of n values, built once per (n, min_segment)."""
     n_l = np.arange(min_segment, n - min_segment + 1, dtype=float)
     n_r = n - n_l
-    return n_l, n_r, 1.0 / (n_l * n_r)
+    prod = n_l * n_r
+    first = np.arange(0, n_l.size, _CERTIFY_RUN)
+    last = np.minimum(first + _CERTIFY_RUN - 1, n_l.size - 1)
+    splits = _Splits(n_l, n_r, 1.0 / prod, n_l[first], n_l[last], np.minimum.reduceat(prod, first))
+    for table in splits:
+        table.flags.writeable = False
+    return splits
 
 
 def _scan_profile(rows: np.ndarray, min_segment: int, attribute: Attribute) -> np.ndarray:
@@ -368,19 +400,18 @@ def _scan(
     rows: np.ndarray,
     min_segment: int,
     attribute: Attribute,
-    sizes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    sizes: _Splits,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``_scan_profile`` with the window's ``_split_sizes`` computed once by the caller.
+    """``_scan_profile`` with the window's ``_split_sizes`` passed in by the caller.
 
     ``work`` is the variance scan's scratch space (``_side_variances``).
     """
     _, n = rows.shape
     if attribute is Attribute.MEAN:
-        _, _, inv_prod = sizes
         left = np.cumsum(rows, axis=1)[:, min_segment - 1 : n - min_segment]
         u = left * left
-        u *= inv_prod
+        u *= sizes.inv_prod
         return u
     var_l, var_r, _ = _side_variances(rows, min_segment, sizes, work)
     return _variance_ratio(var_l, var_r)
@@ -389,7 +420,7 @@ def _scan(
 def _side_variances(
     rows: np.ndarray,
     min_segment: int,
-    sizes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    sizes: _Splits,
     work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unbiased variances left and right of every split, and each row's centred sum of squares.
@@ -404,7 +435,7 @@ def _side_variances(
     fresh one is allocated when it is None.
     """
     b, n = rows.shape
-    n_l, n_r, _ = sizes
+    n_l, n_r = sizes.n_l, sizes.n_r
     m = n_l.size
     if work is None:
         work = np.empty((4, b * n))
@@ -488,9 +519,7 @@ def _mean_band(a: float, e: float, n: int, min_segment: int) -> float:
     return band * (1.0 + 2.0**-20) + 2.0**-1070
 
 
-def _run_limits(
-    c: np.ndarray, e: float, sizes: tuple[np.ndarray, np.ndarray, np.ndarray], low_obs: float
-) -> np.ndarray | None:
+def _run_limits(c: np.ndarray, e: float, sizes: _Splits, low_obs: float) -> np.ndarray | None:
     """Limits on a mean row's left sums at run starts that certify the row; None when none can.
 
     The admissible splits form runs of k = _CERTIFY_RUN, run j starting at
@@ -506,13 +535,98 @@ def _run_limits(
     """
     if low_obs <= 2.0**-1000:  # low_obs * p_j would lose its relative precision
         return None
-    n_l, n_r, _ = sizes
     k = _CERTIFY_RUN
-    prod = np.minimum.reduceat(n_l * n_r, np.arange(0, n_l.size, k))
     bound = float(np.abs(c).max()) * (1.0 + 2.0**-20) + e
     slack = (e + (k - 1) * bound) * (1.0 + 2.0**-20)
-    limits = np.sqrt(low_obs * prod) * (1.0 - 2.0**-20) - slack
+    limits = np.sqrt(low_obs * sizes.prod) * (1.0 - 2.0**-20) - slack
     return limits if limits.max() > 0.0 else None
+
+
+class _VarianceRuns(NamedTuple):
+    """The per-run terms that certify a variance row (``_variance_run_limits``)."""
+
+    eq: float  # slack on any sum of squares
+    total_lo: float  # Q_tot - eq
+    total_hi: float  # Q_tot + eq
+    span: np.ndarray  # (z - a) M + 2e per run: |S| + span bounds each side's sum over the run
+    left: np.ndarray  # 1 / a, grown: (|S| + span)^2 left bounds S_l^2 / n_l over the run
+    right: np.ndarray  # 1 / (n - z), grown: the same for S_r^2 / n_r
+    floor_l: np.ndarray  # the least lower bound on SSE_l that resolves the left variance
+    floor_r: np.ndarray  # the same for SSE_r
+    f_l: np.ndarray  # low_obs (a - 1) / (n - a - 1), shrunk
+    f_r: np.ndarray  # low_obs (n - z - 1) / (z - 1), shrunk
+
+
+def _variance_run_limits(c: np.ndarray, e: float, sizes: _Splits, low_obs: float) -> _VarianceRuns | None:
+    """Terms on a variance row's sums at run starts that certify the row; None when none can.
+
+    ``c`` is the window centred on its float mean m, and d = w - m exactly:
+    every exact side variance is that of d. For run j, with first split a
+    and last split z, let S and Q be a row's float sums of c and c^2 over
+    its first a values, Q' its sum of c^2 up to the next run start (up to
+    z for the last run) and Q_tot the window's. For every split s of the
+    run, as Q only grows along a row, |d| <= M, and the right sum of d is
+    its total (at most e) less the left one,
+
+        SSE_l(s) in [Q - (|S| + 2e + (z - a) M)^2 / a, Q'],
+        SSE_r(s) in [Q_tot - Q' - (|S| + 2e + (z - a) M)^2 / (n - z), Q_tot - Q],
+
+    with e from ``_sum_error`` and each sum of squares widened by
+    eq = 4 gamma(n + 8) Q_tot, which covers its rounding (that of c, the
+    squares and the sum) and that of the subtractions. The variances divide
+    by the run's extreme side sizes less one, so F < low_obs at every split
+    of the run when var_l_hi < low_obs var_r_lo and var_r_hi < low_obs
+    var_l_lo. A row is certified only where both lower bounds also clear
+    ``_variance_floor`` times the sum of squares of the row centred on its
+    own float mean (at most Q_tot (1 + 2^-20) + n gamma(n + 1)^2, that
+    mean being within gamma(n + 1) of the exact one as max|w| < 1), with a
+    relative 2^-18 for the float variances' error: every split of a
+    certified row is then resolved, so its score is its exact F, which
+    stays below ``low_obs``. Every factor is shrunk or grown by a relative
+    2^-20 so that its own rounding cannot loosen it. F is at least 1, and
+    +inf is an unresolved split's own score, so a ``low_obs`` outside
+    (1, inf) certifies nothing.
+    """
+    if not 1.0 < low_obs < math.inf:
+        return None
+    n = c.size
+    a, z = sizes.starts, sizes.ends
+    q = float(c @ c)
+    eq = 4.0 * _gamma(n + 8) * q
+    m = float(np.abs(c).max()) * (1.0 + 2.0**-20)
+    floor = _variance_floor(n, int(a[0]))  # a[0] is min_segment
+    row_q = (q * (1.0 + 2.0**-20) + n * _gamma(n + 1) ** 2) * floor * (1.0 + 2.0**-18)
+    grow, shrink = 1.0 + 2.0**-20, low_obs * (1.0 - 2.0**-20)
+    return _VarianceRuns(
+        eq=eq,
+        total_lo=q - eq,
+        total_hi=q + eq,
+        span=(2.0 * e + (z - a) * m) * grow,
+        left=grow / a,
+        right=grow / (n - z),
+        floor_l=(z - 1.0) * row_q,
+        floor_r=(n - a - 1.0) * row_q,
+        f_l=shrink * (a - 1.0) / (n - a - 1.0),
+        f_r=shrink * (n - z - 1.0) / (z - 1.0),
+    )
+
+
+def _run_sums(block: np.ndarray, min_segment: int, runs: int, stop: int | None = None) -> np.ndarray:
+    """Each row's sums of its first a values at every run start a, and of its first ``stop`` values if given.
+
+    Each run start's sum is the one before it plus one run of k values,
+    so every sum is a sum of its values in some order.
+    """
+    k = _CERTIFY_RUN
+    rows = block.shape[0]
+    sums = np.empty((rows, runs + (stop is not None)))
+    block[:, :min_segment].sum(axis=1, out=sums[:, 0])
+    middle = block[:, min_segment : min_segment + k * (runs - 1)]
+    np.einsum("ijk->ij", middle.reshape(rows, runs - 1, k), out=sums[:, 1:runs])
+    if stop is not None:
+        block[:, min_segment + k * (runs - 1) : stop].sum(axis=1, out=sums[:, runs])
+    np.cumsum(sums, axis=1, out=sums)
+    return sums
 
 
 # A variance split is resolved when its smaller side variance exceeds
@@ -601,19 +715,18 @@ def _at_least(a: tuple[int, int], b: tuple[int, int]) -> bool:
 class _Window:
     """The observed split of one scaled window, and the exceedance count of its permutation rows.
 
-    The mean scan takes rows centred on the window mean (``c``); the
-    variance scan centres each row itself, so there ``c`` is ``w``.
+    ``c`` is the window centred once on its float mean. The mean scan and
+    the certification of both attributes read rows of ``c``; the variance
+    scan reads rows of ``w`` and centres each row itself.
     """
 
     def __init__(self, w: np.ndarray, min_segment: int, attribute: Attribute):
         mean = attribute is Attribute.MEAN
         self.w, self.ms, self.attribute = w, min_segment, attribute
-        self.c = w - w.mean() if mean else w
-        self.band, e = _VARIANCE_BAND, 0.0
-        if mean:
-            a, e = _sum_error(self.c)
-            self.band = _mean_band(a, e, w.size, min_segment)
-        self.profile = _scan_profile(self.c[np.newaxis, :], min_segment, attribute)[0]
+        self.c = w - w.mean()
+        a, e = _sum_error(self.c)
+        self.band = _mean_band(a, e, w.size, min_segment) if mean else _VARIANCE_BAND
+        self.profile = _scan_profile((self.c if mean else w)[np.newaxis, :], min_segment, attribute)[0]
         low, high = _bounds(self.profile, attribute, self.band)
         near = np.flatnonzero(high >= low.max())  # the splits that may hold the exact maximum
         self.best = int(near[0])
@@ -627,44 +740,56 @@ class _Window:
             self.best, self.target = int(near[i]), scores[i]
         self.low_obs, self.high_obs = low[self.best], high[self.best]
         self.sizes = _split_sizes(w.size, min_segment)
-        self.runs = _run_limits(self.c, e, self.sizes, self.low_obs) if mean else None
+        limits = _run_limits if mean else _variance_run_limits
+        self.runs = limits(self.c, e, self.sizes, self.low_obs)
 
     def certified(self, block: np.ndarray) -> np.ndarray:
-        """Which centred mean rows of ``block`` the run limits certify, from their left sums at run starts.
-
-        Each run start's sum is the sum before it plus one run of k values,
-        summed in any order, which ``_sum_error`` allows.
-        """
-        ms, k = self.ms, _CERTIFY_RUN
-        rows, runs = block.shape[0], self.runs.size
-        sums = np.empty((rows, runs))
-        block[:, :ms].sum(axis=1, out=sums[:, 0])
-        np.einsum("ijk->ij", block[:, ms : ms + k * (runs - 1)].reshape(rows, runs - 1, k), out=sums[:, 1:])
-        np.cumsum(sums, axis=1, out=sums)
-        np.abs(sums, out=sums)
-        sums -= self.runs
-        return sums.max(axis=1) < 0.0
+        """Which rows of ``block``, rows of ``c``, the run terms certify from their sums at run starts."""
+        ms, runs = self.ms, self.runs
+        if self.attribute is Attribute.MEAN:
+            sums = _run_sums(block, ms, runs.size)
+            np.abs(sums, out=sums)
+            sums -= runs
+            return sums.max(axis=1) < 0.0
+        # The squared bound on a left or right sum over the run, (|S| + span)^2.
+        bound = _run_sums(block, ms, runs.span.size)
+        np.abs(bound, out=bound)
+        bound += runs.span
+        bound *= bound
+        squares = _run_sums(np.square(block), ms, runs.span.size, self.w.size - ms)
+        at_start, at_next = squares[:, :-1], squares[:, 1:]
+        left_lo = at_start - runs.eq - bound * runs.left
+        right_lo = runs.total_lo - at_next - bound * runs.right
+        ok = (left_lo > runs.floor_l) & (right_lo > runs.floor_r)
+        ok &= at_next + runs.eq < right_lo * runs.f_l
+        ok &= runs.total_hi - at_start < left_lo * runs.f_r
+        return ok.all(axis=1)
 
     def exceedances(self, index: np.ndarray, work: np.ndarray | None = None) -> int:
         """How many of the permutation rows ``index`` reach the observed score exactly.
 
-        Each row of ``index`` permutes the window's positions; the scan
-        gathers ``c`` through it, and the exact decision ``w``. Mean rows
-        are certified first, and only the rest are scanned, until a block
-        certifies none: from then on every row of the window is scanned.
-        ``work`` is the variance scan's scratch space.
+        Each row of ``index`` permutes the window's positions. Rows are
+        certified first, gathered from ``c``, and only the rest are scanned,
+        until a block certifies none: from then on every row of the window
+        is scanned. The mean scan gathers ``c``, the variance scan and the
+        exact decision ``w``. ``work`` is the variance scan's scratch space.
         """
-        block = self.c.take(index)  # for the mean, the bits of w.take(index) - mean
+        mean = self.attribute is Attribute.MEAN
+        # Rows of c, for certification and the mean scan: the bits of w.take(index) - mean.
+        block = self.c.take(index) if mean or self.runs is not None else None
         kept = None
         if self.runs is not None:
             certified = self.certified(block)
+            if certified.all():
+                return 0
             if certified.any():
                 kept = np.flatnonzero(~certified)
-                block = block[kept]
             else:
                 self.runs = None
-        if not len(block):
-            return 0
+        if not mean:
+            block = self.w.take(index if kept is None else index[kept])
+        elif kept is not None:
+            block = block[kept]
         ms, attribute = self.ms, self.attribute
         stats = _scan(block, ms, attribute, self.sizes, work)
         low, high = _bounds(stats.max(axis=1), attribute, self.band)

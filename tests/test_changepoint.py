@@ -1,10 +1,10 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import sys
 import threading
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -344,11 +344,11 @@ class TestSequentialCalibration:
         assert all(r * n <= cap for r, n in blocks)
 
 
-def exact_maximum(values, min_segment):
-    """The largest exact t^2 over the admissible splits of ``values``, a fraction (num, den)."""
-    ratios = [Fraction(v) for v in values]
-    den = math.lcm(*(q.denominator for q in ratios))
-    stats = _exact_split_stats([int(q * den) for q in ratios], min_segment, "mean")
+def exact_maximum(values, min_segment, attribute="mean"):
+    """The largest exact t^2 (mean) or F (variance) over the admissible splits of ``values``, a fraction (num, den)."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    stats = _exact_split_stats([num * (den // d) for num, d in ratios], min_segment, attribute)
     best = stats[0]
     for s in stats[1:]:
         if not _fraction_ge(best, s):
@@ -386,8 +386,44 @@ def certification_cases():
     return cases
 
 
+def variance_certification_cases():
+    """(kind, series, params) under the variance attribute, of the kinds of ``certification_cases``.
+
+    The variance bound needs long runs of splits on each side, so windows
+    are longer and min_segment larger; most series carry a planted change
+    of spread.
+    """
+    variance = Attribute.VARIANCE
+    cases = []
+    for seed in range(8):
+        rng = np.random.default_rng((89, seed))
+        n = int(rng.integers(300, 400))
+        offset = (0.0, 1e6, 2.0**44, 2.0**52)[seed % 4]
+        spread = 1 + 3 * (np.arange(n) >= int(rng.integers(100, n - 100)))
+        x = rng.integers(0, 3, n) * spread + offset
+        params = DetectionParams(variance, significance=0.2, min_segment=int(rng.integers(30, 50)), seed=seed)
+        cases.append(("ties", x, params))
+    for seed in range(4):
+        rng = np.random.default_rng((97, seed))
+        x = (rng.random(400) < np.repeat([0.5, 0.04], 200)).astype(float)
+        cases.append(("two_values", x, DetectionParams(variance, significance=0.5, min_segment=40, seed=seed)))
+    noise = np.random.default_rng(3).normal(0, 1, 400)
+    flat = (
+        np.r_[np.zeros(60), noise * np.repeat([1.0, 4.0], 200)],  # one flat side, then a change of spread
+        np.r_[np.zeros(100), np.ones(100)],  # both sides flat at the true split, +inf elsewhere
+        np.r_[np.full(100, 2.0), noise[:100]],  # an observed F of +inf
+    )
+    for x in flat:
+        cases.append(("flat", x, DetectionParams(variance, min_segment=40, seed=1)))
+    for factor in (2.0**1000, 2.0**-1000):
+        for seed in range(2):
+            x = np.random.default_rng((101, seed)).standard_normal(400) * np.repeat([1.0, 4.0], 200)
+            cases.append(("scaled", x * factor, DetectionParams(variance, min_segment=40, seed=seed)))
+    return cases
+
+
 class TestRowCertification:
-    """Mean rows certified from their left sums at run starts cannot reach the observed score.
+    """Rows certified from their sums at run starts cannot reach the observed score.
 
     Certified rows skip the scan, so the exceedances of every block, and
     with them the stopping block of every window, equal those of a run that
@@ -408,21 +444,30 @@ class TestRowCertification:
             return mask
 
         monkeypatch.setattr(changepoint_module._Window, "certified", recording)
-        checked = dict.fromkeys(["ties", "two_values", "flat", "scaled"], 0)
-        for kind, x, params in certification_cases():
+        kinds = ["ties", "two_values", "flat", "scaled"]
+        checked = dict.fromkeys([(a, k) for a in ("mean", "variance") for k in kinds], 0)
+        for kind, x, params in certification_cases() + variance_certification_cases():
             certified.clear()
             detect_change_points(TimeSeries("c", x), params)
+            ms, attribute = params.min_segment, params.attribute.value
             for window, rows in certified:
                 if not len(rows):
                     continue
                 # Each certified row permutes the centred window c; map it back onto w.
                 uncentre = dict(zip(window.c.tolist(), window.w.tolist()))
                 assert len(uncentre) == len(set(window.w.tolist()))
-                observed = exact_maximum(window.w.tolist(), params.min_segment)
+                observed = exact_maximum(window.w.tolist(), ms, attribute)
                 for row in rows.tolist():
-                    top = exact_maximum([uncentre[v] for v in row], params.min_segment)
+                    values = [uncentre[v] for v in row]
+                    top = exact_maximum(values, ms, attribute)
                     assert not _fraction_ge(top, observed)
-                    checked[kind] += 1
+                    if attribute == "variance":
+                        # Every split is resolved, so the row's score is its exact F.
+                        sizes = changepoint_module._split_sizes(len(values), ms)
+                        var_l, var_r, totq = changepoint_module._side_variances(np.array([values]), ms, sizes)
+                        floor = changepoint_module._variance_floor(len(values), ms)
+                        assert (np.minimum(var_l, var_r) > floor * totq).all()
+                    checked[attribute, kind] += 1
         assert all(checked.values()), checked
 
     @pytest.mark.parametrize(
@@ -448,6 +493,47 @@ class TestRowCertification:
         # It misses the last run's limit by less than one value.
         left = abs(np.cumsum(window.c)[n - ms - 8])
         assert 0.0 <= left - window.runs[-1] < np.abs(window.c).max()
+
+    @pytest.mark.parametrize("offset, n, ms", [(0.0, 200, 40), (0.0, 416, 64), (2.0**44, 200, 40), (2.0**52, 416, 64)])
+    def test_tied_variance_row_at_the_edge_is_not_certified(self, offset, n, ms):
+        # Values -2 and 2, as many of each, then min_segment values of -1, 0
+        # and 1, as many -1s as 1s: F is largest at the last split, the only
+        # split of the last run as n - 2 min_segment is a multiple of 8, and
+        # the left sum there is 0, so the run's bound is tight. The window
+        # itself ties its observed score.
+        assert (n - 2 * ms) % 8 == 0
+        rng = np.random.default_rng(7)
+        left = rng.permutation(np.repeat([-2.0, 2.0], (n - ms) // 2))
+        right = rng.permutation(np.r_[-np.ones(4), np.ones(4), np.zeros(ms - 8)])
+        w, _ = changepoint_module._unit_scaled(np.r_[left, right] + offset)
+        window = changepoint_module._Window(w, ms, Attribute.VARIANCE)
+        assert window.best + ms == n - ms and window.runs is not None
+        assert not window.certified(window.c[np.newaxis, :])[0]
+        # It misses the last run's bound, var_l_hi < low_obs var_r_lo, by
+        # less than one value's square.
+        runs, q = window.runs, np.cumsum(window.c**2)
+        bound = (abs(window.c[: n - ms].sum()) + runs.span[-1]) ** 2
+        right_lo = runs.total_lo - q[n - ms - 1] - bound * runs.right[-1]
+        miss = q[n - ms - 1] + runs.eq - right_lo * runs.f_l[-1]
+        assert 0.0 <= miss < np.abs(window.c).max() ** 2
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.r_[np.zeros(100), np.random.default_rng(3).normal(0, 1, 100)],  # +inf: one flat side
+            np.r_[np.zeros(100), np.ones(100)],  # +inf away from the split where both sides are flat
+            np.full(200, 3.0),  # 1: both sides flat everywhere
+        ],
+    )
+    def test_observed_variance_score_of_inf_or_one_certifies_nothing(self, values):
+        # F is at least 1, and +inf is an unresolved split's own score, so
+        # no bound is built that could meet an inf * 0 or a nan.
+        w, _ = changepoint_module._unit_scaled(values)
+        window = changepoint_module._Window(w, 20, Attribute.VARIANCE)
+        assert not 1.0 < window.low_obs < math.inf
+        assert window.runs is None
+        params = DetectionParams(Attribute.VARIANCE, min_segment=20)
+        assert detect_change_points(TimeSeries("f", values), params).points == full_test(TimeSeries("f", values), params)
 
     def test_tied_row_among_certified_rows_is_decided_on_its_own_values(self):
         # Two random permutations of a window with a clear split, which are
@@ -475,17 +561,71 @@ class TestRowCertification:
             return count
 
         monkeypatch.setattr(changepoint_module._Window, "exceedances", recording)
-        cases = [case[1:] for case in certification_cases()]
-        cases += [(random_series(seed, n=400).values, DetectionParams(min_segment=15, seed=seed)) for seed in range(4)]
+        cases = [case[1:] for case in certification_cases() + variance_certification_cases()]
+        for seed in range(4):
+            cases.append((random_series(seed, n=400).values, DetectionParams(min_segment=15, seed=seed)))
+            spread = np.random.default_rng((103, seed)).standard_normal(1200) * np.repeat([1.0, 2.5, 1.5], 400)
+            cases.append((spread, DetectionParams(Attribute.VARIANCE, min_segment=60, seed=seed)))
         for x, params in cases:
             blocks.clear()
             points = detect_change_points(TimeSeries("c", x), params).points
             expected = blocks.copy()
             with monkeypatch.context() as patch:
                 patch.setattr(changepoint_module, "_run_limits", lambda *args: None)
+                patch.setattr(changepoint_module, "_variance_run_limits", lambda *args: None)
+                patch.setattr(changepoint_module._Window, "certified", None)  # never called
                 blocks.clear()
                 assert detect_change_points(TimeSeries("c", x), params).points == points
             assert blocks == expected
+
+
+def long_variance_collection(count=3):
+    """``count`` series of 3000-4000 samples whose spread steps by at least x1.5 within 0.5-3, every 300 or more samples."""
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng((107, i))
+        n = int(rng.integers(3000, 4001))
+        breaks = np.sort(rng.choice(np.arange(300, n - 300, 300), size=int(rng.integers(2, 5)), replace=False))
+        sigmas = [float(rng.uniform(0.5, 3.0))]
+        while len(sigmas) <= breaks.size:
+            sigma = float(rng.uniform(0.5, 3.0))
+            if max(sigma, sigmas[-1]) >= 1.5 * min(sigma, sigmas[-1]):
+                sigmas.append(sigma)
+        scale = np.repeat(sigmas, np.diff(np.r_[0, breaks, n]))
+        out.append(TimeSeries(f"long{i}", rng.standard_normal(n) * scale))
+    return out
+
+
+@functools.cache
+def long_variance_expected(min_segment):
+    params = DetectionParams(Attribute.VARIANCE, min_segment=min_segment)
+    return [full_test(ts, params) for ts in long_variance_collection()]
+
+
+class TestLongVarianceWindows:
+    """Long variance windows, whose rows are mostly certified, keep the full test's change points."""
+
+    @pytest.mark.parametrize("min_segment", [200, 250])
+    @pytest.mark.parametrize("path", ["kept", "streamed"])
+    def test_collection_matches_full_test(self, path, min_segment, monkeypatch):
+        cells = 0 if path == "streamed" else 2**24
+        monkeypatch.setattr(changepoint_module, "_SHARED_CELLS", cells)
+        monkeypatch.setattr(changepoint_module, "_ROW_CACHE_CELLS", cells)
+        changepoint_module._ROW_CACHE.clear()
+        params = DetectionParams(Attribute.VARIANCE, min_segment=min_segment)
+        certified = []
+        real = changepoint_module._Window.certified
+
+        def recording(window, block):
+            mask = real(window, block)
+            certified.append(int(mask.sum()))
+            return mask
+
+        monkeypatch.setattr(changepoint_module._Window, "certified", recording)
+        found = [detect_change_points(ts, params).points for ts in long_variance_collection()]
+        changepoint_module._ROW_CACHE.clear()
+        assert found == long_variance_expected(min_segment)
+        assert all(found) and sum(certified) > params.permutations
 
 
 def same_length_collection(kind, count=8):
