@@ -213,10 +213,9 @@ class DetectionParams:
 # - variance: six (the block, the centred rows and their squares summed in
 #   place, two side variances and the ratio), 1.5 MiB at 2^15 cells, inside
 #   the 2 MiB L2 of one core of the 2-CPU Xeon measured. On `long_variance`
-#   (8 x 8000, seed 77) detection took 1.30, 1.13, 1.04, 1.05 and 1.13 s
-#   at caps 2^13 to 2^17 (medians of 5 rounds) before variance rows were
-#   certified, and 0.73, 0.61, 0.47, 0.50 and 0.48 s with certification
-#   (medians of 5 rounds in one process, the whole-series rows drawn once).
+#   (8 x 8000, seed 77) detection took 0.73, 0.61, 0.47, 0.50 and 0.48 s at
+#   caps 2^13 to 2^17 (medians of 5 rounds in one process, the whole-series
+#   rows drawn once).
 # - mean: three (the block, gathered already centred, its cumulative sum
 #   and the scores), 3 MiB at 2^17 cells, and far less where certified rows
 #   skip the scan. No smaller mean cap has yet shown a gain over whole
