@@ -60,12 +60,28 @@ def geo_distance_matrix(stations: list[StationMetadata]) -> LabeledSquareMatrix:
     return LabeledSquareMatrix(tuple(ids), m, MatrixKind.DISTANCE)
 
 
+def _csv_rows(path, fh):
+    """Each row of the open CSV file ``fh`` with its line in the file, which error messages name.
+
+    A line the csv module cannot read, such as one with a field longer than
+    ``csv.field_size_limit()``, raises ``UnparseableCell`` naming ``path``
+    and the line as soon as it is reached, since nothing after it can be read.
+    """
+    reader = csv.reader(fh)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise UnparseableCell(f"{path}: row {reader.line_num}: {e}") from None
+        yield reader.line_num, row
+
+
 def read_stations_csv(path) -> list[StationMetadata]:
     """Parse a station metadata CSV with header id,lat_deg,lon_deg."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        # Each row with its line in the file, which error messages name; blank lines are dropped.
-        rows = [(reader.line_num, row) for row in reader if row]
+        rows = [(line, row) for line, row in _csv_rows(path, fh) if row]  # blank lines are dropped
     if not rows or [c.strip() for c in rows[0][1]] != ["id", "lat_deg", "lon_deg"]:
         raise UnparseableCell(f"{path}: expected header 'id,lat_deg,lon_deg'")
     out = []

@@ -20,6 +20,7 @@ import json
 import logging
 import math
 import os
+from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .clustering import (
     to_newick,
 )
 from .errors import AllMissingColumn, BadK, EmptySet, IdMismatch, InputError, UnparseableCell
-from .geo import StationMetadata, geo_distance_matrix, read_stations_csv
+from .geo import StationMetadata, _csv_rows, geo_distance_matrix, read_stations_csv
 from .matrices import (
     LabeledSquareMatrix,
     MatrixKind,
@@ -94,65 +95,83 @@ def ingest(
     """Parse a wide series CSV (and optionally station metadata).
 
     The first column is a timestamp or index and is ignored beyond row
-    order; every other column is one series. Missing cells are filled
-    from the most recent prior observation of the same column; a missing
-    leading stretch is back-filled from the first present value. When
-    metadata is given, stations are matched to series ids: a series
-    without a station is fatal, an unused station only logs a warning.
+    order; every other column is one series. A row whose every cell is
+    empty or whitespace is skipped. Missing cells are filled from the most
+    recent prior observation of the same column; a missing leading stretch
+    is back-filled from the first present value. When metadata is given,
+    stations are matched to series ids: a series without a station is
+    fatal, an unused station only logs a warning.
+
+    Each row is converted as it is read into one float buffer (8 bytes a
+    cell), which each series copies its column out of; the fill runs only
+    when some cell is missing. Errors about the header and the number of
+    rows come first, then the first bad row in file order, all raised once
+    the whole file is read; a line the csv module cannot read is reported
+    when it is reached.
     """
     with open(series_csv, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        # Each row with its line in the file, which error messages name; blank lines are dropped.
-        rows = [(reader.line_num, row) for row in reader if row]
-    if len(rows) < 2 or len(rows[0][1]) < 2:
+        rows = ((line, row) for line, row in _csv_rows(series_csv, fh) if any(map(str.strip, row)))
+        _, header = next(rows, (0, []))
+        ids = [c.strip() for c in header[1:]]
+        n_cols = len(ids)
+        cells = array("d")  # the table row by row; nan marks a missing cell, stored cells are finite
+        n_rows = 0
+        bad = None  # the message of the first bad row
+        for line, row in rows:
+            n_rows += 1
+            if bad is not None:
+                continue
+            if len(row) > n_cols + 1:
+                bad = f"{series_csv}: row {line} has {len(row)} cells, expected {n_cols + 1}"
+                continue
+            # A full row of finite numbers is converted at once; any other row
+            # cell by cell, which finds its missing cells and its first bad one.
+            # float() strips the same whitespace as str.strip(), and a finite
+            # sum means every value is finite.
+            if len(row) == n_cols + 1:
+                try:
+                    values = list(map(float, row[1:]))
+                except ValueError:
+                    values = None
+                if values is not None and math.isfinite(sum(values)):
+                    cells.extend(values)
+                    continue
+            for j, tok in enumerate(row[1:]):
+                tok = tok.strip()
+                if tok.lower() in _MISSING_TOKENS:
+                    cells.append(math.nan)
+                    continue
+                try:
+                    value = float(tok)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    bad = f"{series_csv}: row {line}, column {ids[j]!r}: cannot parse {tok!r} as a finite number"
+                    break
+                cells.append(value)
+            else:
+                cells.extend([math.nan] * (n_cols + 1 - len(row)))
+    if n_rows < 1 or n_cols < 1:
         raise UnparseableCell(f"{series_csv}: need a header plus data rows with >= 1 series column")
-    if len(rows) < 3:
+    if n_rows < 2:
         raise UnparseableCell(f"{series_csv}: need a header plus >= 2 data rows")
-    (_, header), *data = rows
-    ids = [c.strip() for c in header[1:]]
     if any(not i for i in ids):
         raise UnparseableCell(f"{series_csv}: empty series id in header")
     if len(set(ids)) != len(ids):
         raise IdMismatch(f"{series_csv}: duplicate series ids in header")
-    n_cols = len(ids)
-    table = np.full((len(data), n_cols), np.nan)  # nan marks a missing cell; stored cells are finite
-    for r, (line, row) in enumerate(data):
-        if len(row) > n_cols + 1:
-            raise UnparseableCell(f"{series_csv}: row {line} has {len(row)} cells, expected {n_cols + 1}")
-        # A full row of finite numbers is converted at once; any other row
-        # cell by cell, which finds its missing cells and its first bad one.
-        # float() strips the same whitespace as str.strip(), and a finite
-        # sum means every value is finite.
-        if len(row) == n_cols + 1:
-            try:
-                values = list(map(float, row[1:]))
-            except ValueError:
-                values = None
-            if values is not None and math.isfinite(sum(values)):
-                table[r] = values
-                continue
-        for j, tok in enumerate(row[1:]):
-            tok = tok.strip()
-            if tok.lower() in _MISSING_TOKENS:
-                continue
-            try:
-                value = float(tok)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise UnparseableCell(
-                    f"{series_csv}: row {line}, column {ids[j]!r}: cannot parse {tok!r} as a finite number"
-                )
-            table[r, j] = value
+    if bad is not None:
+        raise UnparseableCell(bad)
+    table = np.frombuffer(cells).reshape(n_rows, n_cols)
     present = ~np.isnan(table)
-    observed = present.any(axis=0)
-    if not observed.all():
-        raise AllMissingColumn(f"{series_csv}: column {ids[int(np.argmin(observed))]!r} has no observations")
-    # Each cell takes the row of its column's latest observation; rows before
-    # the first observation take the first one (a back-filled leading stretch).
-    source = np.where(present, np.arange(len(table))[:, None], present.argmax(axis=0))
-    filled = np.take_along_axis(table, np.maximum.accumulate(source, axis=0), axis=0)
-    series = [TimeSeries(sid, filled[:, j]) for j, sid in enumerate(ids)]
+    if not present.all():
+        observed = present.any(axis=0)
+        if not observed.all():
+            raise AllMissingColumn(f"{series_csv}: column {ids[int(np.argmin(observed))]!r} has no observations")
+        # Each cell takes the row of its column's latest observation; rows before
+        # the first observation take the first one (a back-filled leading stretch).
+        source = np.where(present, np.arange(n_rows)[:, None], present.argmax(axis=0))
+        table = np.take_along_axis(table, np.maximum.accumulate(source, axis=0), axis=0)
+    series = [TimeSeries(sid, table[:, j]) for j, sid in enumerate(ids)]
     stations = None
     if metadata_csv is not None:
         by_id = {s.id: s for s in read_stations_csv(metadata_csv)}

@@ -179,6 +179,80 @@ def reference_write_matrix_csv(m, path) -> None:
             w.writerow([label, *[repr(float(v)) for v in row]])
 
 
+_MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
+
+
+def reference_ingest(path) -> tuple[list[str], list[list[float]]]:
+    """Series ids and filled columns of a valid wide series CSV, in plain Python.
+
+    Reads every row first, skips rows whose every cell is blank, parses
+    cell by cell (a short row's absent cells are missing) and fills each
+    column forward from its latest observation, back-filling a leading gap
+    from the first one.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    header, *data = rows
+    ids = [cell.strip() for cell in header[1:]]
+    columns = [[] for _ in ids]
+    for row in data:
+        cells = row[1:] + [""] * (len(ids) + 1 - len(row))
+        for column, cell in zip(columns, cells):
+            column.append(None if cell.strip().lower() in _MISSING_TOKENS else float(cell))
+    filled = []
+    for column in columns:
+        latest = next(v for v in column if v is not None)
+        out = []
+        for v in column:
+            if v is not None:
+                latest = v
+            out.append(latest)
+        filled.append(out)
+    return ids, filled
+
+
+def random_series_csv(rng) -> str:
+    """Text of a valid wide series CSV mixing the forms ingest accepts.
+
+    Cells are plain, signed, exponent and integer numbers (``-0`` among
+    them), padded with spaces or tabs or not; missing tokens in any case;
+    short rows; blank rows (empty, whitespace, or only commas); CRLF or LF
+    line ends; and sometimes a byte-order mark. Every column has at least
+    one observation and there are at least two data rows.
+    """
+    n_cols = int(rng.integers(1, 6))
+    n_rows = int(rng.integers(2, 30))
+    missing = ["", "NA", "na", "N/A", "n/a", "NaN", "nan", "null", "NULL", "None", "none"]
+    pads = ["", " ", "  ", "\t"]
+
+    def number() -> str:
+        kind = int(rng.integers(5))
+        v = float(rng.normal(0.0, 10.0 ** int(rng.integers(-3, 4))))
+        return [repr(v), f"{v:.3e}", str(int(v)), "-0", f"{v:+.2f}"][kind]
+
+    def pad(cell: str) -> str:
+        return pads[int(rng.integers(len(pads)))] + cell + pads[int(rng.integers(len(pads)))]
+
+    observed = rng.integers(n_rows, size=n_cols)  # a row where each column is present for sure
+    lines = [",".join(["t", *(pad(f"s{j}") for j in range(n_cols))])]
+    for t in range(n_rows):
+        cells = [
+            number() if observed[j] == t or rng.random() < 0.7 else missing[int(rng.integers(len(missing)))]
+            for j in range(n_cols)
+        ]
+        if rng.random() < 0.2:
+            # a short row: its absent trailing cells must be missing ones
+            keep = int(rng.integers(n_cols))
+            if all(observed[j] != t for j in range(keep, n_cols)):
+                cells = cells[:keep]
+        lines.append(",".join([pad(str(t)), *(pad(c) for c in cells)]))
+        if rng.random() < 0.15:
+            lines.append(["", "   ", "\t", "," * n_cols, " , " * n_cols][int(rng.integers(5))])
+    end = "\r\n" if rng.random() < 0.5 else "\n"
+    bom = "\ufeff" if rng.random() < 0.3 else ""
+    return bom + end.join(lines) + end
+
+
 # --- The pairwise layer before row batching, kept verbatim -----------------
 # Per-pair merged partitions, one fsum per pair, and the O(N^3) pure-Python
 # agglomeration. The batched kernels and the vectorised linkage must agree

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from stepdist.cli import main
 from stepdist.clustering import Linkage
 from stepdist.errors import AllMissingColumn, BadK, DuplicateStation, EmptySet, IdMismatch, InputError, UnparseableCell
 from stepdist.pipeline import PipelineConfig, _embed_all, compare_metrics, run_analysis
+from tests.helpers import random_series_csv, reference_ingest
 
 DATA = Path(__file__).parent / "data"
 FIXTURE_SERIES = DATA / "geo_fixture_series.csv"
@@ -146,8 +148,9 @@ class TestIngest:
             ("t,a,b\n0,1,NA\n1,,2\n2,nan,None\n3,4,null\n4,N/a,\n", [[1, 1, 1, 4, 4], [2, 2, 2, 2, 2]]),
             ("t,a,b\n0,1,2\n1,3\n2\n3,5,6\n", [[1, 3, 3, 5], [2, 2, 2, 6]]),
             ("t,a,b\n0,1e308,1e308\n1,-1e308,1e308\n", [[1e308, -1e308], [1e308, 1e308]]),
+            (" ,\nt,a,b\n0,1,2\n   \n,,\n \t, ,\n1,3,4\n2,,\n", [[1, 3, 3], [2, 4, 4]]),
         ],
-        ids=["padded", "missing_tokens", "short_rows", "sum_overflows"],
+        ids=["padded", "missing_tokens", "short_rows", "sum_overflows", "blank_rows"],
     )
     def test_row_tables(self, tmp_path, text, columns):
         p = tmp_path / "s.csv"
@@ -172,6 +175,55 @@ class TestIngest:
         p.write_text(text)
         with pytest.raises(UnparseableCell, match=re.escape(message)):
             ingest(p)
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("t,a\n0,x\n", UnparseableCell, "need a header plus >= 2 data rows"),
+            ("t,a,a\n0,x,1\n1,2,3\n", IdMismatch, "duplicate series ids in header"),
+            ("t,a\n0,1\n1,x\n2,3,4\n", UnparseableCell, "row 3, column 'a': cannot parse 'x'"),
+        ],
+        ids=["row_count_before_cell", "header_before_cell", "bad_cell_before_long_row"],
+    )
+    def test_error_precedence(self, tmp_path, text, error, message):
+        p = tmp_path / "s.csv"
+        p.write_text(text)
+        with pytest.raises(error, match=re.escape(message)):
+            ingest(p)
+
+    def test_matches_reference_parser(self, tmp_path):
+        rng = np.random.default_rng(20)
+        for k in range(50):
+            p = tmp_path / f"s{k}.csv"
+            p.write_text(random_series_csv(rng), encoding="utf-8", newline="")
+            ids, columns = reference_ingest(p)
+            series, _ = ingest(p)
+            assert [ts.id for ts in series] == ids, k
+            assert [ts.values.tobytes() for ts in series] == [np.array(c).tobytes() for c in columns], k
+
+    @pytest.mark.parametrize("gaps, bound", [(False, 24), (True, 48)], ids=["all_present", "some_missing"])
+    def test_traced_peak_per_cell(self, tmp_path, gaps, bound):
+        # Rows are converted into one float buffer as they are read, so the
+        # peak is that buffer plus one copy per series (and the fill's index
+        # arrays when a cell is missing), not the file's text as strings.
+        n_rows, n_cols = 20_000, 30
+        values = np.random.default_rng(30).normal(0.0, 1.0, (n_rows, n_cols)).round(6).tolist()
+        lines = [",".join(["t", *(f"s{j}" for j in range(n_cols))])]
+        for t, row in enumerate(values):
+            cells = list(map(repr, row))
+            if gaps and t % 10 == 5:
+                cells[t % n_cols] = ""
+            lines.append(f"{t}," + ",".join(cells))
+        p = tmp_path / "wide.csv"
+        p.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            series, _ = ingest(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == n_cols and series[0].values.size == n_rows
+        assert peak / (n_rows * n_cols) <= bound
 
     def test_fixture_dimensions(self):
         series, stations = ingest(FIXTURE_SERIES, FIXTURE_STATIONS)
@@ -528,6 +580,22 @@ class TestCli:
         assert main(["run", *(f"--{key}={value}" for key, value in argv.items())]) == 1
         assert "input error:" in capsys.readouterr().err
         assert unreadable == "out_is_file" or not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("unreadable", ["series", "metadata"])
+    def test_csv_line_too_long_to_read_is_input_error(self, tmp_path, capsys, unreadable):
+        # A field over csv.field_size_limit() stops the csv module at its line.
+        src = {"series": FIXTURE_SERIES, "metadata": FIXTURE_STATIONS}[unreadable]
+        lines = src.read_text().splitlines()
+        lines[2] = lines[2].split(",", 1)[0] + "," + "1" * 200_000
+        path = tmp_path / src.name
+        path.write_text("\n".join(lines) + "\n")
+        argv = {"series": str(FIXTURE_SERIES), "metadata": str(FIXTURE_STATIONS), "out": str(tmp_path / "o")}
+        argv[unreadable] = str(path)
+        assert main(["run", *(f"--{key}={value}" for key, value in argv.items())]) == 1
+        err = capsys.readouterr().err
+        assert "input error:" in err
+        assert f"{path}: row 3: field larger than field limit" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "command, write, error, message",
