@@ -2,18 +2,17 @@
 
 Provides the contextual distance matrix G for cross-context consistency
 analysis. Distances are haversine great circles on a sphere with the
-IUGG mean Earth radius.
+IUGG mean Earth radius. Station files are read by ``matrices._csv_rows``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DuplicateStation, InvalidCoordinate, UnparseableCell
-from .matrices import LabeledSquareMatrix, MatrixKind, _pairwise
+from .matrices import LabeledSquareMatrix, MatrixKind, _csv_rows, _pairwise
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -60,32 +59,13 @@ def geo_distance_matrix(stations: list[StationMetadata]) -> LabeledSquareMatrix:
     return LabeledSquareMatrix(tuple(ids), m, MatrixKind.DISTANCE)
 
 
-def _csv_rows(path, fh):
-    """Each row of the open CSV file ``fh`` with its line in the file, which error messages name.
-
-    A line the csv module cannot read, such as one with a field longer than
-    ``csv.field_size_limit()``, raises ``UnparseableCell`` naming ``path``
-    and the line as soon as it is reached, since nothing after it can be read.
-    """
-    reader = csv.reader(fh)
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as e:
-            raise UnparseableCell(f"{path}: row {reader.line_num}: {e}") from None
-        yield reader.line_num, row
-
-
 def read_stations_csv(path) -> list[StationMetadata]:
     """Parse a station metadata CSV with header id,lat_deg,lon_deg."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [(line, row) for line, row in _csv_rows(path, fh) if row]  # blank lines are dropped
-    if not rows or [c.strip() for c in rows[0][1]] != ["id", "lat_deg", "lon_deg"]:
+    rows = _csv_rows(path)
+    if [c.strip() for c in next(rows, (0, []))[1]] != ["id", "lat_deg", "lon_deg"]:
         raise UnparseableCell(f"{path}: expected header 'id,lat_deg,lon_deg'")
     out = []
-    for line, row in rows[1:]:
+    for line, row in rows:
         try:
             sid, lat, lon = row
             lat, lon = float(lat), float(lon)
@@ -98,10 +78,3 @@ def read_stations_csv(path) -> list[StationMetadata]:
     _unique_ids(out, f"{path}: ")
     return out
 
-
-def write_stations_csv(stations: list[StationMetadata], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "lat_deg", "lon_deg"])
-        for s in stations:
-            w.writerow([s.id, repr(s.lat_deg), repr(s.lon_deg)])

@@ -10,6 +10,7 @@ Every constructor computes each unordered pair once, row by row through
 ``_pairwise``, so the outputs are exactly symmetric and independent of
 evaluation order. The step-function rows come from the batched kernels in
 ``stepfn``, which reduce each pair exactly as the scalar calls do.
+``_csv_rows`` reads every input CSV: series, station and matrix files.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import csv
 import io
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from .changepoint import _unit_scaled
-from .errors import LabelMismatch, ZeroFunction
+from .errors import LabelMismatch, UnparseableCell, ZeroFunction
 from .stepfn import PackedSteps, StepFunction, inner_product_row, lp_distance_row, lp_norm, normalize, pack
 
 _CLAMP_TOL = 1e-12
@@ -251,19 +251,45 @@ def write_matrix_csv(m: LabeledSquareMatrix, path) -> None:
             field.truncate()
 
 
-def read_matrix_csv(path, kind: MatrixKind) -> LabeledSquareMatrix:
-    path = Path(path)
+def _csv_rows(path):
+    """Each non-blank row of a UTF-8 CSV file (byte-order mark optional) with its line, which errors name.
+
+    Rows of only empty or whitespace cells (blank lines, a spreadsheet's ``,,``) are skipped.
+    A line the csv module cannot read, such as an over-long field, raises ``UnparseableCell``.
+    """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    labels = tuple(rows[0])
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if any(map(str.strip, row)):
+                    yield reader.line_num, row
+        except csv.Error as e:
+            raise UnparseableCell(f"{path}: row {reader.line_num}: {e}") from None
+
+
+def read_matrix_csv(path, kind: MatrixKind) -> LabeledSquareMatrix:
+    """The ``kind`` matrix in a file that ``write_matrix_csv`` wrote.
+
+    A malformed file raises ``UnparseableCell`` naming the file and line; a
+    matrix that breaks the invariants of ``kind`` raises ``ValueError``.
+    """
+    rows = _csv_rows(path)
+    line, labels = next(rows, (0, None))
+    if labels is None:
+        raise UnparseableCell(f"{path}: empty matrix file")
     n = len(labels)
-    if len(rows) != n + 1:
-        raise ValueError(f"{path}: expected {n} data rows, got {len(rows) - 1}")
     entries = np.zeros((n, n))
-    for i, row in enumerate(rows[1:]):
-        if len(row) != n + 1 or row[0] != labels[i]:
-            raise ValueError(f"{path}: malformed row {i + 1}")
-        entries[i] = [float(tok) for tok in row[1:]]
+    i = 0
+    for i, (line, row) in enumerate(rows, start=1):
+        if i > n:
+            raise UnparseableCell(f"{path}: row {line}: more than {n} data rows")
+        if len(row) != n + 1 or row[0] != labels[i - 1]:
+            got = f"{row[0]!r} and {len(row) - 1} values"
+            raise UnparseableCell(f"{path}: row {line}: expected label {labels[i - 1]!r} and {n} values, got {got}")
+        try:
+            entries[i - 1] = [float(tok) for tok in row[1:]]
+        except ValueError as e:
+            raise UnparseableCell(f"{path}: row {line}: {e}") from None
+    if i < n:
+        raise UnparseableCell(f"{path}: ends at row {line} after {i} of {n} data rows")
     return LabeledSquareMatrix(labels, entries, kind)

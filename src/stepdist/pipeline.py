@@ -44,10 +44,11 @@ from .clustering import (
     to_newick,
 )
 from .errors import AllMissingColumn, BadK, EmptySet, IdMismatch, InputError, UnparseableCell
-from .geo import StationMetadata, _csv_rows, geo_distance_matrix, read_stations_csv
+from .geo import StationMetadata, geo_distance_matrix, read_stations_csv
 from .matrices import (
     LabeledSquareMatrix,
     MatrixKind,
+    _csv_rows,
     _pairwise,
     alignment_matrix,
     consistency_matrix,
@@ -109,48 +110,47 @@ def ingest(
     the whole file is read; a line the csv module cannot read is reported
     when it is reached.
     """
-    with open(series_csv, newline="", encoding="utf-8-sig") as fh:
-        rows = ((line, row) for line, row in _csv_rows(series_csv, fh) if any(map(str.strip, row)))
-        _, header = next(rows, (0, []))
-        ids = [c.strip() for c in header[1:]]
-        n_cols = len(ids)
-        cells = array("d")  # the table row by row; nan marks a missing cell, stored cells are finite
-        n_rows = 0
-        bad = None  # the message of the first bad row
-        for line, row in rows:
-            n_rows += 1
-            if bad is not None:
+    rows = _csv_rows(series_csv)
+    _, header = next(rows, (0, []))
+    ids = [c.strip() for c in header[1:]]
+    n_cols = len(ids)
+    cells = array("d")  # the table row by row; nan marks a missing cell, stored cells are finite
+    n_rows = 0
+    bad = None  # the message of the first bad row
+    for line, row in rows:
+        n_rows += 1
+        if bad is not None:
+            continue
+        if len(row) > n_cols + 1:
+            bad = f"{series_csv}: row {line} has {len(row)} cells, expected {n_cols + 1}"
+            continue
+        # A full row of finite numbers is converted at once; any other row
+        # cell by cell, which finds its missing cells and its first bad one.
+        # float() strips the same whitespace as str.strip(), and a finite
+        # sum means every value is finite.
+        if len(row) == n_cols + 1:
+            try:
+                values = list(map(float, row[1:]))
+            except ValueError:
+                values = None
+            if values is not None and math.isfinite(sum(values)):
+                cells.extend(values)
                 continue
-            if len(row) > n_cols + 1:
-                bad = f"{series_csv}: row {line} has {len(row)} cells, expected {n_cols + 1}"
+        for j, tok in enumerate(row[1:]):
+            tok = tok.strip()
+            if tok.lower() in _MISSING_TOKENS:
+                cells.append(math.nan)
                 continue
-            # A full row of finite numbers is converted at once; any other row
-            # cell by cell, which finds its missing cells and its first bad one.
-            # float() strips the same whitespace as str.strip(), and a finite
-            # sum means every value is finite.
-            if len(row) == n_cols + 1:
-                try:
-                    values = list(map(float, row[1:]))
-                except ValueError:
-                    values = None
-                if values is not None and math.isfinite(sum(values)):
-                    cells.extend(values)
-                    continue
-            for j, tok in enumerate(row[1:]):
-                tok = tok.strip()
-                if tok.lower() in _MISSING_TOKENS:
-                    cells.append(math.nan)
-                    continue
-                try:
-                    value = float(tok)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    bad = f"{series_csv}: row {line}, column {ids[j]!r}: cannot parse {tok!r} as a finite number"
-                    break
-                cells.append(value)
-            else:
-                cells.extend([math.nan] * (n_cols + 1 - len(row)))
+            try:
+                value = float(tok)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                bad = f"{series_csv}: row {line}, column {ids[j]!r}: cannot parse {tok!r} as a finite number"
+                break
+            cells.append(value)
+        else:
+            cells.extend([math.nan] * (n_cols + 1 - len(row)))
     if n_rows < 1 or n_cols < 1:
         raise UnparseableCell(f"{series_csv}: need a header plus data rows with >= 1 series column")
     if n_rows < 2:

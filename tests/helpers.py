@@ -211,14 +211,28 @@ def reference_ingest(path) -> tuple[list[str], list[list[float]]]:
     return ids, filled
 
 
+# Row forms every input CSV reader skips as blank: every cell empty or
+# whitespace, however many cells the row has.
+BLANK_ROWS = ("", "   ", "\t", ",,,,", " , " * 3)
+
+
+def write_stations_csv(stations, path) -> None:
+    """A station CSV with header id,lat_deg,lon_deg; coordinates round-trip exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "lat_deg", "lon_deg"])
+        for s in stations:
+            w.writerow([s.id, repr(s.lat_deg), repr(s.lon_deg)])
+
+
 def random_series_csv(rng) -> str:
     """Text of a valid wide series CSV mixing the forms ingest accepts.
 
     Cells are plain, signed, exponent and integer numbers (``-0`` among
     them), padded with spaces or tabs or not; missing tokens in any case;
-    short rows; blank rows (empty, whitespace, or only commas); CRLF or LF
-    line ends; and sometimes a byte-order mark. Every column has at least
-    one observation and there are at least two data rows.
+    short rows; blank rows (``BLANK_ROWS``); CRLF or LF line ends; and
+    sometimes a byte-order mark. Every column has at least one observation
+    and there are at least two data rows.
     """
     n_cols = int(rng.integers(1, 6))
     n_rows = int(rng.integers(2, 30))
@@ -247,7 +261,7 @@ def random_series_csv(rng) -> str:
                 cells = cells[:keep]
         lines.append(",".join([pad(str(t)), *(pad(c) for c in cells)]))
         if rng.random() < 0.15:
-            lines.append(["", "   ", "\t", "," * n_cols, " , " * n_cols][int(rng.integers(5))])
+            lines.append(BLANK_ROWS[int(rng.integers(len(BLANK_ROWS)))])
     end = "\r\n" if rng.random() < 0.5 else "\n"
     bom = "\ufeff" if rng.random() < 0.3 else ""
     return bom + end.join(lines) + end

@@ -6,9 +6,9 @@ import pytest
 
 from stepdist import EARTH_RADIUS_KM, StationMetadata, geo_distance_matrix, haversine_km
 from stepdist.errors import DuplicateStation, InvalidCoordinate, UnparseableCell
-from stepdist.geo import read_stations_csv, write_stations_csv
+from stepdist.geo import read_stations_csv
 
-from tests.helpers import haversine_oracle
+from tests.helpers import haversine_oracle, write_stations_csv
 
 
 def random_station(rng, sid):
@@ -84,6 +84,12 @@ class TestStationCsv:
         path = tmp_path / "stations.csv"
         write_stations_csv(stations, path)
         assert read_stations_csv(path) == stations
+
+    @pytest.mark.parametrize("blank", ["   ", ",,"], ids=["whitespace", "commas"])
+    def test_blank_row_skipped(self, tmp_path, blank):
+        path = tmp_path / "stations.csv"
+        path.write_text(f"id,lat_deg,lon_deg\nx,1,2\n{blank}\ny,3,4\n")
+        assert read_stations_csv(path) == [StationMetadata("x", 1.0, 2.0), StationMetadata("y", 3.0, 4.0)]
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +20,7 @@ from stepdist import (
     unscaled_distance_matrix,
     write_matrix_csv,
 )
-from stepdist.errors import LabelMismatch, ZeroFunction
+from stepdist.errors import LabelMismatch, UnparseableCell, ZeroFunction
 
 from tests.helpers import random_step_function, reference_write_matrix_csv
 
@@ -271,6 +272,66 @@ class TestCsv:
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
         back = read_matrix_csv(tmp_path / "rows.csv", MatrixKind.CONSISTENCY).entries
         assert np.array_equal(np.signbit(back), np.signbit(entries))
+
+
+class TestReadCsv:
+    """Malformed matrix files raise UnparseableCell naming the file and line."""
+
+    @staticmethod
+    def two_by_two(path) -> list[str]:
+        m = LabeledSquareMatrix(("a", "b"), np.array([[0.0, 1.5], [1.5, 0.0]]), MatrixKind.DISTANCE)
+        write_matrix_csv(m, path)
+        return path.read_bytes().decode().split("\r\n")[:-1]  # ["a,b", "a,0.0,1.5", "b,1.5,0.0"]
+
+    def test_trailing_line_end(self, tmp_path):
+        path = tmp_path / "m.csv"
+        self.two_by_two(path)
+        with open(path, "a", newline="") as fh:
+            fh.write("\r\n")
+        m = read_matrix_csv(path, MatrixKind.DISTANCE)
+        assert m.labels == ("a", "b")
+        assert np.array_equal(m.entries, [[0.0, 1.5], [1.5, 0.0]])
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: [lines[0], "a,0.0,x", lines[2]], "row 2: could not convert string to float: 'x'"),
+            (lambda lines: [lines[0], lines[1], "b,1.5"], "row 3: expected label 'b' and 2 values, got 'b' and 1 values"),
+            (lambda lines: [lines[0], "a,0.0," + "1" * 200_000, lines[2]], "row 2: field larger than field limit"),
+            (lambda lines: [lines[0], lines[1], "c,1.5,0.0"], "row 3: expected label 'b' and 2 values, got 'c' and 2 values"),
+            (lambda lines: [*lines, "c,1.5,0.0"], "row 4: more than 2 data rows"),
+            (lambda lines: lines[:2], "ends at row 2 after 1 of 2 data rows"),
+            (lambda lines: [], "empty matrix file"),
+            (lambda lines: ["", " , ", ""], "empty matrix file"),
+        ],
+        ids=["bad_cell", "short_row", "huge_cell", "wrong_label", "extra_row", "missing_row", "empty", "only_blank"],
+    )
+    def test_malformed_file_names_file_and_line(self, tmp_path, edit, message):
+        path = tmp_path / "m.csv"
+        lines = edit(self.two_by_two(path))
+        path.write_text("".join(line + "\r\n" for line in lines), newline="")
+        with pytest.raises(UnparseableCell, match=f"^{re.escape(f'{path}: {message}')}"):
+            read_matrix_csv(path, MatrixKind.DISTANCE)
+
+    @pytest.mark.parametrize("labels", [("", " "), ("\t", "", "  ")], ids=["two", "three"])
+    def test_blank_header_is_not_misread(self, tmp_path, labels):
+        # A header whose every label is empty or whitespace is a blank row and
+        # is skipped, so the first data row stands in for it; the next row is
+        # then one cell short, and the file is rejected, not misread.
+        n = len(labels)
+        m = LabeledSquareMatrix(labels, np.ones((n, n)) - np.eye(n), MatrixKind.DISTANCE)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(m, path)
+        message = f"{path}: row 3: expected label {labels[0]!r} and {n + 1} values, got {labels[1]!r} and {n} values"
+        with pytest.raises(UnparseableCell, match=f"^{re.escape(message)}$"):
+            read_matrix_csv(path, MatrixKind.DISTANCE)
+
+    def test_invalid_values_stay_value_errors(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\r\na,0.0,-1.5\r\nb,-1.5,0.0\r\n", newline="")
+        with pytest.raises(ValueError, match="nonnegative") as info:
+            read_matrix_csv(path, MatrixKind.DISTANCE)
+        assert not isinstance(info.value, UnparseableCell)
 
 
 def test_random_collections_satisfy_kind_invariants():

@@ -765,6 +765,18 @@ class TestCli:
         assert (out / "manifest.json").exists()
         assert (out / "s01.csv").exists()
 
+    def test_exported_suite_reads_back_as_the_built_in_suite(self, tmp_path):
+        # export-suite's wide CSV, read by compare-metrics --series, gives the
+        # same bytes as compare-metrics on the suite it generates itself.
+        assert main(["export-suite", "--out", str(tmp_path / "suite")]) == 0
+        wide = tmp_path / "suite" / "suite_wide.csv"
+        assert main(["compare-metrics", "--series", str(wide), "--out", str(tmp_path / "read")]) == 0
+        assert main(["compare-metrics", "--out", str(tmp_path / "built")]) == 0
+        read = {p.name: p.read_bytes() for p in (tmp_path / "read").iterdir()}
+        built = {p.name: p.read_bytes() for p in (tmp_path / "built").iterdir()}
+        assert read.keys() == built.keys() and len(read) > 1
+        assert read == built
+
     def test_compare_metrics_cli(self, tmp_path):
         out = tmp_path / "cmp"
         assert main(["compare-metrics", "--out", str(out)]) == 0
