@@ -28,10 +28,8 @@ u = S^2 / (n_l * n_r), where S is the left sum of the window centred
 once on its mean: t^2 = (n - 2) v / (1 - v) with v = n u / TSS.
 
 The variance scan computes the ratio F = max(var_l / var_r, var_r / var_l)
-of the side variances. It runs in place, in scratch space that the blocks
-of a window reuse, on blocks of at most 2^15 cells, so that its arrays stay
-in one core's L2 cache; it performs the operations of the plain expressions
-in the same order, so every score is unchanged.
+of the side variances, from the cumulative sums of each row centred on its
+own mean and of their squares.
 
 Rows of both attributes are scanned at two levels. A row of the window
 centred once on its mean is first read only at the start of each run of 8
@@ -208,18 +206,16 @@ class DetectionParams:
 # Permutation rows are scanned in blocks: the first holds _FIRST_BLOCK_ROWS
 # rows and each next one twice as many, capped at _BLOCK_CELLS[attribute]
 # cells (rows x window length), so short windows make few scan calls and no
-# window builds B x n arrays. Block sizes change no decision. The cap is set
-# per attribute by its working set, in float64 arrays of one block:
-# - variance: six (the block, the centred rows and their squares summed in
-#   place, two side variances and the ratio), 1.5 MiB at 2^15 cells, inside
-#   the 2 MiB L2 of one core of the 2-CPU Xeon measured. On `long_variance`
-#   (8 x 8000, seed 77) detection took 0.73, 0.61, 0.47, 0.50 and 0.48 s at
-#   caps 2^13 to 2^17 (medians of 5 rounds in one process, the whole-series
-#   rows drawn once).
-# - mean: three (the block, gathered already centred, its cumulative sum
-#   and the scores), 3 MiB at 2^17 cells, and far less where certified rows
-#   skip the scan. No smaller mean cap has yet shown a gain over whole
-#   benchmark runs, so the mean keeps 2^17.
+# window builds B x n arrays. Block sizes change no decision. Each cap was
+# measured against the other value on a 2-CPU Xeon:
+# - variance: 2^15 bounds the scan's temporaries, several float64 arrays
+#   of one block each. At 2^17, `long_variance` peak_rss_mb rose to 51.42,
+#   50.36 and 52.08 MB, against 47.79, 47.69 and 48.88 MB at 2^15
+#   (`perfbench/run.py --seconds 20`, seeds 501-503).
+# - mean: 2^17 keeps the number of blocks, and of calls per block, low. At
+#   2^15, in-process detection of `reference` (seed 501) took 0.563, 0.497
+#   and 0.480 s of CPU against 0.443, 0.499 and 0.447 s at 2^17 (medians of
+#   5 passes, alternated).
 _FIRST_BLOCK_ROWS = 16
 _BLOCK_CELLS = {Attribute.MEAN: 2**17, Attribute.VARIANCE: 2**15}
 
@@ -395,81 +391,45 @@ def _scan_profile(rows: np.ndarray, min_segment: int, attribute: Attribute) -> n
     return _scan(rows, min_segment, attribute, _split_sizes(rows.shape[1], min_segment))
 
 
-def _scan(
-    rows: np.ndarray,
-    min_segment: int,
-    attribute: Attribute,
-    sizes: _Splits,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
-    """``_scan_profile`` with the window's ``_split_sizes`` passed in by the caller.
-
-    ``work`` is the variance scan's scratch space (``_side_variances``).
-    """
+def _scan(rows: np.ndarray, min_segment: int, attribute: Attribute, sizes: _Splits) -> np.ndarray:
+    """``_scan_profile`` with the window's ``_split_sizes`` passed in by the caller."""
     _, n = rows.shape
     if attribute is Attribute.MEAN:
         left = np.cumsum(rows, axis=1)[:, min_segment - 1 : n - min_segment]
         u = left * left
         u *= sizes.inv_prod
         return u
-    var_l, var_r, _ = _side_variances(rows, min_segment, sizes, work)
+    var_l, var_r, _ = _side_variances(rows, min_segment, sizes)
     return _variance_ratio(var_l, var_r)
 
 
-def _side_variances(
-    rows: np.ndarray,
-    min_segment: int,
-    sizes: _Splits,
-    work: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _side_variances(rows: np.ndarray, min_segment: int, sizes: _Splits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unbiased variances left and right of every split, and each row's centred sum of squares.
 
-    ``rows`` is only read. The two cumulative sums run in place over the
-    centred rows and their squares, and each side's sum of squared
-    deviations and variance is formed in one array, with the operations and
-    their order of the plain expressions sse_l = max(sq_l - sum_l^2 / n_l, 0)
-    and sse_r = max((totq - sq_l) - (tot - sum_l)^2 / n_r, 0). All four
-    arrays live in ``work``, scratch space of shape (4, >= rows.size) that
-    the blocks of a window reuse, so the variances are views into it; a
-    fresh one is allocated when it is None.
+    With sum_l and sq_l the left sums of the row centred on its mean and of
+    its squares, and tot and totq their totals, var_l = max(sq_l - sum_l^2
+    / n_l, 0) / (n_l - 1) and var_r = max((totq - sq_l) - (tot - sum_l)^2
+    / n_r, 0) / (n_r - 1).
     """
-    b, n = rows.shape
+    n = rows.shape[1]
     n_l, n_r = sizes.n_l, sizes.n_r
-    m = n_l.size
-    if work is None:
-        work = np.empty((4, b * n))
-    cs, cq = (work[k, : b * n].reshape(b, n) for k in (0, 1))
-    var_l, var_r = (work[k, : b * m].reshape(b, m) for k in (2, 3))
     # Centering per row improves conditioning of the sum-of-squares update
     # and leaves the statistic unchanged.
-    np.subtract(rows, rows.mean(axis=1, keepdims=True), out=cs)
-    np.multiply(cs, cs, out=cq)
-    np.cumsum(cs, axis=1, out=cs)
-    np.cumsum(cq, axis=1, out=cq)
-    # Copied out, so no later operation reads a column of the array it writes.
-    tot = cs[:, -1:].copy()
-    totq = cq[:, -1:].copy()
+    c = rows - rows.mean(axis=1, keepdims=True)
+    cs = np.cumsum(c, axis=1)
+    cq = np.cumsum(c * c, axis=1)
+    tot, totq = cs[:, -1:], cq[:, -1:]
     sum_l = cs[:, min_segment - 1 : n - min_segment]
     sq_l = cq[:, min_segment - 1 : n - min_segment]
-    np.multiply(sum_l, sum_l, out=var_l)
-    var_l /= n_l
-    np.subtract(sq_l, var_l, out=var_l)
-    np.maximum(var_l, 0.0, out=var_l)
-    var_l /= n_l - 1.0
-    np.subtract(tot, sum_l, out=var_r)
-    np.multiply(var_r, var_r, out=var_r)
-    var_r /= n_r
-    np.subtract(totq, sq_l, out=sq_l)
-    np.subtract(sq_l, var_r, out=var_r)
-    np.maximum(var_r, 0.0, out=var_r)
-    var_r /= n_r - 1.0
+    var_l = np.maximum(sq_l - sum_l * sum_l / n_l, 0.0) / (n_l - 1.0)
+    var_r = np.maximum((totq - sq_l) - (tot - sum_l) ** 2 / n_r, 0.0) / (n_r - 1.0)
     return var_l, var_r, totq
 
 
 def _variance_ratio(var_l: np.ndarray, var_r: np.ndarray) -> np.ndarray:
-    """Larger over smaller variance: 1 when both are 0, +inf when only one is. Overwrites ``var_l``."""
+    """Larger over smaller variance: 1 when both are 0, +inf when only one is."""
     stat = np.maximum(var_l, var_r)
-    lo = np.minimum(var_l, var_r, out=var_l)
+    lo = np.minimum(var_l, var_r)
     flat = lo == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         stat /= lo
@@ -764,14 +724,14 @@ class _Window:
         ok &= runs.total_hi - at_start < left_lo * runs.f_r
         return ok.all(axis=1)
 
-    def exceedances(self, index: np.ndarray, work: np.ndarray | None = None) -> int:
+    def exceedances(self, index: np.ndarray) -> int:
         """How many of the permutation rows ``index`` reach the observed score exactly.
 
         Each row of ``index`` permutes the window's positions. Rows are
         certified first, gathered from ``c``, and only the rest are scanned,
         until a block certifies none: from then on every row of the window
         is scanned. The mean scan gathers ``c``, the variance scan and the
-        exact decision ``w``. ``work`` is the variance scan's scratch space.
+        exact decision ``w``.
         """
         mean = self.attribute is Attribute.MEAN
         # Rows of c, for certification and the mean scan: the bits of w.take(index) - mean.
@@ -790,7 +750,7 @@ class _Window:
         elif kept is not None:
             block = block[kept]
         ms, attribute = self.ms, self.attribute
-        stats = _scan(block, ms, attribute, self.sizes, work)
+        stats = _scan(block, ms, attribute, self.sizes)
         low, high = _bounds(stats.max(axis=1), attribute, self.band)
         count = int(np.count_nonzero(low >= self.high_obs))
         # Rows whose maximum may tie the observed score: decided exactly.
@@ -847,7 +807,6 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
             source = _WindowRows(params.seed, lo, hi, b, keep=False)
         exceed = done = 0
         rows = _FIRST_BLOCK_ROWS
-        work = None if attribute is Attribute.MEAN else np.empty((4, min(b, max_rows) * w.size))
         # Rows are read into one intp buffer per window: take() would turn
         # uint16 rows into a fresh intp array on every call.
         ibuf = np.empty((min(b, max_rows), w.size), np.intp)
@@ -856,7 +815,7 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         while exceed <= limit and exceed + (b - done) > limit:
             # A block ends where acceptance becomes certain if it adds no exceedance.
             take = min(rows, max_rows, b - done - (limit - exceed))
-            exceed += window.exceedances(source.read(done, ibuf[:take]), work)
+            exceed += window.exceedances(source.read(done, ibuf[:take]))
             done += take
             rows *= 2
         if exceed <= limit:

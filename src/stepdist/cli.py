@@ -18,7 +18,7 @@ import sys
 
 from .changepoint import Attribute
 from .clustering import Linkage
-from .errors import InputError, StepDistError
+from .errors import InputError, StepDistError, not_utf8
 from .pipeline import PipelineConfig, compare_metrics, run_analysis
 from .synthetic import SUITE_SEED, export_suite
 
@@ -51,17 +51,21 @@ def _read_config_file(path, keys) -> dict[str, str]:
     """Key = value lines of a config file; ``-`` and ``_`` in keys are interchangeable."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            name = key.replace("-", "_")
-            if name not in keys:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[name] = value
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        name = key.replace("-", "_")
+        if name not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[name] = value
     return values
 
 
@@ -122,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             compare_metrics(config)
         return 0
-    except (InputError, OSError, UnicodeDecodeError) as exc:  # UnicodeDecodeError is a ValueError
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (StepDistError, ValueError) as exc:

@@ -14,6 +14,24 @@ class InputError(StepDistError):
     """Problem with user-supplied input data (CLI exit code 1)."""
 
 
+def not_utf8(path) -> InputError:
+    """An InputError naming the line of the first byte of ``path`` that is not UTF-8.
+
+    Called where decoding ``path`` failed. The decoder reads buffered chunks,
+    so its error places the byte only within a chunk; the line is counted
+    here from the file's bytes. A byte-order mark is valid UTF-8 without a
+    newline, so it moves no line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        return InputError(f"{path}: line {line}: byte 0x{data[e.start]:02x} is not UTF-8 ({e.reason})")
+    return InputError(f"{path}: not UTF-8")
+
+
 class UnparseableCell(InputError):
     """A CSV cell is neither numeric nor a recognised missing-value token."""
 

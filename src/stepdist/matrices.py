@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .changepoint import _unit_scaled
-from .errors import LabelMismatch, UnparseableCell, ZeroFunction
+from .errors import LabelMismatch, UnparseableCell, ZeroFunction, not_utf8
 from .stepfn import PackedSteps, StepFunction, inner_product_row, lp_distance_row, lp_norm, normalize, pack
 
 _CLAMP_TOL = 1e-12
@@ -255,7 +255,8 @@ def _csv_rows(path):
     """Each non-blank row of a UTF-8 CSV file (byte-order mark optional) with its line, which errors name.
 
     Rows of only empty or whitespace cells (blank lines, a spreadsheet's ``,,``) are skipped.
-    A line the csv module cannot read, such as an over-long field, raises ``UnparseableCell``.
+    A line the csv module cannot read, such as an over-long field, raises ``UnparseableCell``,
+    and a byte that is not UTF-8 an ``InputError`` naming its line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -265,6 +266,8 @@ def _csv_rows(path):
                     yield reader.line_num, row
         except csv.Error as e:
             raise UnparseableCell(f"{path}: row {reader.line_num}: {e}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
 
 
 def read_matrix_csv(path, kind: MatrixKind) -> LabeledSquareMatrix:

@@ -815,7 +815,7 @@ KERNEL_CASES = {
 
 
 class TestVarianceKernel:
-    """The in-place variance scan computes the plain expressions bit for bit and never writes its input."""
+    """The variance scan computes the plain expressions bit for bit and never writes its input."""
 
     @pytest.mark.parametrize("case", list(KERNEL_CASES))
     def test_scan_equals_full_scan_profile(self, case):
@@ -825,12 +825,9 @@ class TestVarianceKernel:
         n = x.shape[1]
         sizes = changepoint_module._split_sizes(n, ms)
         expected = _full_scan_profile(x, ms, "variance")
-        # Fresh scratch space, then a larger one left dirty by an earlier block.
-        work = np.full((4, x.size + 7), np.nan)
-        for scratch in (None, work, work):
-            stat = changepoint_module._scan(x, ms, Attribute.VARIANCE, sizes, scratch)
-            assert stat.shape == expected.shape == (x.shape[0], n - 2 * ms + 1)
-            assert np.array_equal(stat.view(np.int64), expected.view(np.int64))
+        stat = changepoint_module._scan(x, ms, Attribute.VARIANCE, sizes)
+        assert stat.shape == expected.shape == (x.shape[0], n - 2 * ms + 1)
+        assert np.array_equal(stat.view(np.int64), expected.view(np.int64))
         assert np.array_equal(x, before)
         if case == "one_flat_side":
             assert np.isinf(stat).any()

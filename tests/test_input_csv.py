@@ -1,13 +1,17 @@
 """The series, station and matrix readers skip the same blank rows.
 
 Every form in ``BLANK_ROWS``, put before the header, between two rows or at
-the end of a file, leaves what each reader returns unchanged.
+the end of a file, leaves what each reader returns unchanged. A byte that is
+not UTF-8 makes every input reader, the config file's too, name its line.
 """
+
+import re
 
 import numpy as np
 import pytest
 
-from stepdist import LabeledSquareMatrix, MatrixKind, StationMetadata, read_matrix_csv, write_matrix_csv
+from stepdist import LabeledSquareMatrix, MatrixKind, StationMetadata, cli, read_matrix_csv, write_matrix_csv
+from stepdist.errors import InputError
 from stepdist.geo import read_stations_csv
 from stepdist.pipeline import ingest
 
@@ -60,3 +64,24 @@ def test_blank_row_anywhere_is_skipped(tmp_path, kind, blank):
             rewritten = tmp_path / "rewritten.csv"
             write_matrix_csv(read_matrix_csv(path, MatrixKind.DISTANCE), rewritten)
             assert rewritten.read_bytes() == plain.read_bytes(), at
+
+
+def config_file(path):
+    path.write_text("attribute = mean\nseed = 3\np = 2\n")
+
+
+def read_config(path):
+    return cli._read_config_file(path, list(cli._OPTIONS))
+
+
+@pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+@pytest.mark.parametrize("kind", [*KINDS, "config"])
+def test_byte_not_utf8_names_its_line(tmp_path, kind, bom):
+    write, read = (config_file, read_config) if kind == "config" else KINDS[kind]
+    path = tmp_path / "input.csv"
+    write(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+    path.write_bytes(b"\xef\xbb\xbf" * bom + b"\n".join(lines))
+    with pytest.raises(InputError, match=f"^{re.escape(str(path))}: line 3: byte 0xff is not UTF-8 \\(invalid start byte\\)$"):
+        read(path)

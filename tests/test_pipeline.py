@@ -564,7 +564,9 @@ class TestCli:
         assert "input error:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("unreadable", ["series_dir", "metadata_dir", "series_not_utf8", "out_is_file"])
+    @pytest.mark.parametrize(
+        "unreadable", ["series_dir", "metadata_dir", "series_not_utf8", "config_not_utf8", "out_is_file"]
+    )
     def test_unreadable_input_is_input_error(self, tmp_path, capsys, unreadable):
         argv = {"series": str(FIXTURE_SERIES), "metadata": str(FIXTURE_STATIONS), "out": str(tmp_path / "o")}
         if unreadable == "series_dir":
@@ -575,6 +577,9 @@ class TestCli:
             src = tmp_path / "s.csv"
             src.write_bytes(FIXTURE_SERIES.read_bytes().replace(b"\n", b"\xff\n", 1))
             argv["series"] = str(src)
+        elif unreadable == "config_not_utf8":
+            (tmp_path / "c.cfg").write_bytes(b"seed = 3\n# \xff\n")
+            argv["config"] = str(tmp_path / "c.cfg")
         else:
             (tmp_path / "o").write_text("a file, not a directory\n")
         assert main(["run", *(f"--{key}={value}" for key, value in argv.items())]) == 1
