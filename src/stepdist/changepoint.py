@@ -69,13 +69,17 @@ drawn as they are first read, so a window that stops early draws only what
 it scans, and they are either kept or streamed. The whole-series window
 (0, n) draws the same stream for every series of a collection, as they all
 have length n, so its rows are kept once per series length, seed and
-permutation count, up to 2^21 cells (4 MiB as uint16). Sub-windows keep
-theirs in one cache of the most recently tested windows: 2^19 cells (1 MiB
-as uint16) in all, and a window of at most a quarter of that. A larger
-window streams its rows, one block at a time, into its own index buffer.
-The pipeline detects the series of a collection in order of their
+permutation count, up to 2^21 cells. Sub-windows keep theirs in one cache
+of the most recently tested windows: 2^19 cells in all, and a window of at
+most a quarter of that. Kept rows use the smallest unsigned dtype that
+holds a window position, uint8 up to 256 samples and uint16 up to 65,536,
+so on windows of up to 65,536 samples they hold at most 4 MiB and 1 MiB.
+A larger window streams its rows, one block at a time, into its own index
+buffer. The pipeline detects the series of a collection in order of their
 whole-window split, so series that go on to test the same sub-windows run
-back to back and find their rows kept; results are unchanged.
+back to back and find their rows kept; results are unchanged. Between
+windows, detection keeps only these rows and the split tables of the
+window being tested.
 """
 
 from __future__ import annotations
@@ -209,9 +213,10 @@ class DetectionParams:
 # window builds B x n arrays. Block sizes change no decision. Each cap was
 # measured against the other value on a 2-CPU Xeon:
 # - variance: 2^15 bounds the scan's temporaries, several float64 arrays
-#   of one block each. At 2^17, `long_variance` peak_rss_mb rose to 51.42,
-#   50.36 and 52.08 MB, against 47.79, 47.69 and 48.88 MB at 2^15
-#   (`perfbench/run.py --seconds 20`, seeds 501-503).
+#   of one block each. At 2^17, `long_variance` peak_rss_mb rose to 48.48,
+#   49.21 and 49.68 MB, against 45.09, 45.34 and 46.08 MB at 2^15
+#   (`perfbench/run.py --seconds 20`, seeds 501-503, split tables kept for
+#   one window).
 # - mean: 2^17 keeps the number of blocks, and of calls per block, low. At
 #   2^15, in-process detection of `reference` (seed 501) took 0.563, 0.497
 #   and 0.480 s of CPU against 0.443, 0.499 and 0.447 s at 2^17 (medians of
@@ -302,11 +307,12 @@ def _whole_window_permutations(seed: int, n: int, b: int) -> _WindowRows:
 
 
 # Sub-windows share their rows through one LRU of recently tested windows,
-# keyed by (seed, lo, hi, b). It holds at most _ROW_CACHE_CELLS cells (1 MiB
-# as uint16) and admits a window of at most a quarter of that; larger windows
-# stream their rows. Series that split alike test the same sub-windows,
-# and the pipeline detects them back to back, so a small cache catches most
-# repeats.
+# keyed by (seed, lo, hi, b). It holds at most _ROW_CACHE_CELLS cells, at
+# most 1 MiB as uint8 or uint16 rows (only a window of one permutation and
+# over 65,536 samples is stored as uint32), and admits a window of at most a
+# quarter of that; larger windows stream their rows. Series that split alike
+# test the same sub-windows, and the pipeline detects them back to back, so
+# a small cache catches most repeats.
 _ROW_CACHE_CELLS = 2**19
 
 
@@ -357,19 +363,22 @@ class _Splits(NamedTuple):
     prod: np.ndarray  # smallest n_l * n_r of each run
 
 
-# Window lengths recur across a collection: with 128 entries, 77%, 93% and
-# 91% of the windows of `reference`, `wide_short` and `compare_wide` (seed
-# 77) find their tables, which saves about 30 us of the set-up of a window
-# of 700 samples. The 45 distinct windows of `long_variance` keep 2.3 MB.
-@functools.lru_cache(maxsize=128)
+# The tables live for one window: its observed scan builds them, and its
+# permutation scans and exact scores read the same entry. Long windows rarely
+# share a length, so keeping the tables of many lengths would hold history
+# and save no work (128 lengths held 2.6 MB after a `long_variance` job). A
+# rebuild takes about 18 us for a window of 200 samples and 43 us for one of
+# 8,000 (2-CPU Xeon).
+@functools.lru_cache(maxsize=1)
 def _split_sizes(n: int, min_segment: int) -> _Splits:
-    """The split sizes and run tables of every window of n values, built once per (n, min_segment)."""
+    """The split sizes and run tables of every window of n values, kept for the window being tested."""
     n_l = np.arange(min_segment, n - min_segment + 1, dtype=float)
     n_r = n - n_l
-    prod = n_l * n_r
-    first = np.arange(0, n_l.size, _CERTIFY_RUN)
-    last = np.minimum(first + _CERTIFY_RUN - 1, n_l.size - 1)
-    splits = _Splits(n_l, n_r, 1.0 / prod, n_l[first], n_l[last], np.minimum.reduceat(prod, first))
+    # n_l * n_r is concave in the split, so a run's smallest product is at one of its ends.
+    starts = n_l[::_CERTIFY_RUN]
+    ends = np.minimum(starts + (_CERTIFY_RUN - 1), n - min_segment)
+    prod = np.minimum(starts * (n - starts), ends * (n - ends))
+    splits = _Splits(n_l, n_r, 1.0 / (n_l * n_r), starts, ends, prod)
     for table in splits:
         table.flags.writeable = False
     return splits

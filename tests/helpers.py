@@ -135,6 +135,20 @@ def _full_scan_profile(rows: np.ndarray, min_segment: int, attribute: str) -> np
     return stat
 
 
+def reference_split_sizes(n: int, min_segment: int, run: int) -> tuple[np.ndarray, ...]:
+    """The detector's split tables as first built: run tables gathered by index and reduced by ``reduceat``.
+
+    Returns (n_l, n_r, inv_prod, starts, ends, prod) in the order of
+    ``changepoint._Splits``, for runs of ``run`` splits.
+    """
+    n_l = np.arange(min_segment, n - min_segment + 1, dtype=float)
+    n_r = n - n_l
+    prod = n_l * n_r
+    first = np.arange(0, n_l.size, run)
+    last = np.minimum(first + run - 1, n_l.size - 1)
+    return n_l, n_r, 1.0 / prod, n_l[first], n_l[last], np.minimum.reduceat(prod, first)
+
+
 def full_permutation_detector(
     x: np.ndarray, attribute: str, significance: float, min_segment: int, permutations: int, seed: int
 ) -> tuple[int, ...]:

@@ -1,10 +1,12 @@
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from tests.helpers import (
     exact_permutation_detector,
     f_scan_oracle,
     full_permutation_detector,
+    reference_split_sizes,
     t_scan_oracle,
 )
 
@@ -854,6 +857,50 @@ class TestVarianceKernel:
             shapes.clear()
             assert [detect_change_points(ts, params).points for ts in series] == expected, cap
             assert all(r == 1 or r * w <= cap for r, w in shapes)
+
+
+class TestSplitTables:
+    """The split tables hold their reference bits and live for one window, not for every length seen."""
+
+    @pytest.mark.parametrize("min_segment", [2, 3, 30, 500])
+    def test_closed_forms_equal_reduceat_tables(self, min_segment):
+        run = changepoint_module._CERTIFY_RUN
+        lengths = [*range(2 * min_segment, 2 * min_segment + 300), 8000, 50000]
+        tails = set()
+        for n in lengths:
+            tables = changepoint_module._split_sizes(n, min_segment)
+            expected = reference_split_sizes(n, min_segment, run)
+            assert len(tables) == len(expected) == 6
+            for got, want in zip(tables, expected):
+                assert got.dtype == np.float64 and not got.flags.writeable
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+            tails.add((n - 2 * min_segment) % run + 1)
+        assert tails == set(range(1, run + 1))
+
+    def test_detection_keeps_one_window_of_tables(self):
+        params = DetectionParams(significance=0.1, permutations=19)
+        series = []
+        for n in range(3000, 6000, 100):
+            values = np.random.default_rng(n).standard_normal(n)
+            values[n // 2 :] += 2.0
+            series.append(TimeSeries(f"s{n}", values))
+        changepoint_module._ROW_CACHE.clear()
+        changepoint_module._whole_window_permutations.cache_clear()
+        changepoint_module._split_sizes.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            found = [detect_change_points(ts, params) for ts in series]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(found)
+        # One whole-window entry, the sub-window cache (at most 1 MiB) and one window's tables.
+        assert retained < 2.5e6
+        assert changepoint_module._split_sizes.cache_info().currsize <= 1
 
 
 class TestExactTies:
