@@ -66,20 +66,26 @@ Every permutation row is a row of indices that the window gathers its
 values through. A shuffle's draws depend only on the row length, so each
 gathered row is the row the window's own stream would permute. Rows are
 drawn as they are first read, so a window that stops early draws only what
-it scans, and they are either kept or streamed. The whole-series window
-(0, n) draws the same stream for every series of a collection, as they all
-have length n, so its rows are kept once per series length, seed and
-permutation count, up to 2^21 cells. Sub-windows keep theirs in one cache
-of the most recently tested windows: 2^19 cells in all, and a window of at
-most a quarter of that. Kept rows use the smallest unsigned dtype that
-holds a window position, uint8 up to 256 samples and uint16 up to 65,536,
-so on windows of up to 65,536 samples they hold at most 4 MiB and 1 MiB.
-A larger window streams its rows, one block at a time, into its own index
-buffer. The pipeline detects the series of a collection in order of their
-whole-window split, so series that go on to test the same sub-windows run
-back to back and find their rows kept; results are unchanged. Between
-windows, detection keeps only these rows and the split tables of the
-window being tested.
+it scans, and they are either kept or streamed.
+
+Kept rows live in two stores of one class, ``_RowCache``: each keeps the
+window it read last and, within a budget of cells (rows x window length),
+the ones before it, and streams a window larger than its own limit. Every
+series of a collection tests the whole-series window (0, n) with the same
+stream, as they all have length n, so ``_WHOLE_ROWS`` keeps the last such
+window, of up to 2^21 cells. Series that split alike test the same
+sub-windows, so ``_SUB_ROWS`` keeps the most recent of those: 2^19 cells in
+all, and a window of at most 2^17. The stores are apart so that a series'
+many sub-windows cannot evict the whole-series rows that the next series
+reads again. Kept rows use the smallest unsigned dtype that holds a window
+position, uint8 up to 256 samples and uint16 up to 65,536, so on windows of
+up to 65,536 samples they hold at most 4 MiB and 1 MiB. A streamed window
+draws its rows, one block at a time, into its own index buffer.
+``detection_order`` orders the series of a collection by their whole-window
+split, and the pipeline detects them in that order, so series that go on to
+test the same sub-windows run back to back and find their rows kept;
+results are unchanged. Between windows, detection keeps only these rows and
+the split tables of the window being tested.
 """
 
 from __future__ import annotations
@@ -290,44 +296,29 @@ class _WindowRows:
         return out
 
 
-# Guards every cache lookup and row extension, so that threads detecting at
+# Guards every store lookup and row extension, so that threads detecting at
 # once never draw a window's rows twice or out of order.
 _ROWS_LOCK = threading.Lock()
 
-# The whole-series window shares its rows per (seed, n, b) while
-# b * n <= _SHARED_CELLS; one entry is kept, as a run reads one collection.
-# A longer whole-series window streams its rows.
-_SHARED_CELLS = 2**21
-
-
-@functools.lru_cache(maxsize=1)
-def _whole_window_permutations(seed: int, n: int, b: int) -> _WindowRows:
-    """The ``b`` permutation rows of window (0, n), shared by every series of length n."""
-    return _WindowRows(seed, 0, n, b)
-
-
-# Sub-windows share their rows through one LRU of recently tested windows,
-# keyed by (seed, lo, hi, b). It holds at most _ROW_CACHE_CELLS cells, at
-# most 1 MiB as uint8 or uint16 rows (only a window of one permutation and
-# over 65,536 samples is stored as uint32), and admits a window of at most a
-# quarter of that; larger windows stream their rows. Series that split alike
-# test the same sub-windows, and the pipeline detects them back to back, so
-# a small cache catches most repeats.
-_ROW_CACHE_CELLS = 2**19
-
 
 class _RowCache:
-    """The rows of recently tested sub-windows, least recently used evicted first."""
+    """The rows of recently tested windows, keyed by (seed, lo, hi, b).
 
-    def __init__(self):
+    A window of at most ``largest`` cells is kept, and a larger one streams
+    its rows. The window read last always stays; older ones are evicted,
+    least recently used first, until all fit in ``max_cells``.
+    """
+
+    def __init__(self, max_cells: int, largest: int):
+        self.max_cells, self.largest = max_cells, largest
         self.entries: OrderedDict[tuple[int, int, int, int], _WindowRows] = OrderedDict()
         self.cells = 0
         self.hits = 0
 
     def rows(self, seed: int, lo: int, hi: int, b: int) -> _WindowRows:
-        """The rows of window (lo, hi): shared, or streamed when the window is too large to cache."""
+        """The rows of window (lo, hi): shared, or streamed when the window is too large to keep."""
         cells = b * (hi - lo)
-        if 4 * cells > _ROW_CACHE_CELLS:
+        if cells > self.largest:
             return _WindowRows(seed, lo, hi, b, keep=False)
         key = (seed, lo, hi, b)
         with _ROWS_LOCK:
@@ -338,7 +329,7 @@ class _RowCache:
             else:
                 self.hits += 1
             self.entries[key] = rows
-            while self.cells > _ROW_CACHE_CELLS:
+            while self.cells > self.max_cells and len(self.entries) > 1:
                 (_, old_lo, old_hi, old_b), _ = self.entries.popitem(last=False)
                 self.cells -= old_b * (old_hi - old_lo)
         return rows
@@ -349,7 +340,9 @@ class _RowCache:
             self.cells = self.hits = 0
 
 
-_ROW_CACHE = _RowCache()
+# The two row stores; the module docstring gives their bounds and why they are apart.
+_WHOLE_ROWS = _RowCache(0, 2**21)
+_SUB_ROWS = _RowCache(2**19, 2**17)
 
 
 class _Splits(NamedTuple):
@@ -808,12 +801,7 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         w, _ = _unit_scaled(x[lo:hi])
         window = _Window(w, ms, attribute)
         max_rows = max(1, _BLOCK_CELLS[attribute] // w.size)
-        if hi - lo < n:
-            source = _ROW_CACHE.rows(params.seed, lo, hi, b)
-        elif b * n <= _SHARED_CELLS:
-            source = _whole_window_permutations(params.seed, n, b)
-        else:
-            source = _WindowRows(params.seed, lo, hi, b, keep=False)
+        source = (_SUB_ROWS if hi - lo < n else _WHOLE_ROWS).rows(params.seed, lo, hi, b)
         exceed = done = 0
         rows = _FIRST_BLOCK_ROWS
         # Rows are read into one intp buffer per window: take() would turn
@@ -833,6 +821,30 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
             # Pushed right first so the left half is scanned next, depth first.
             windows += [(cp, hi), (lo, cp)]
     return ChangePointSet(tuple(sorted(found)))
+
+
+def detection_order(series: list[TimeSeries], params: DetectionParams) -> list[int]:
+    """Indices of ``series`` in order of their whole-window best split (stable).
+
+    Series that split the whole window alike go on to test the same
+    sub-windows, so detecting them back to back lets those windows share
+    their permutation rows; the order changes no result. The split is the
+    float argmax of the observed scan, as ties need no exact decision here.
+    When a series is too short to test, the input order is kept, so the
+    error names the first such series.
+    """
+    ms = params.min_segment
+    if any(ts.values.size < 2 * ms for ts in series):
+        return list(range(len(series)))
+
+    def split(ts: TimeSeries) -> int:
+        w, _ = _unit_scaled(ts.values)
+        if params.attribute is Attribute.MEAN:
+            w = w - w.mean()
+        return int(np.argmax(_scan_profile(w[np.newaxis, :], ms, params.attribute)))
+
+    splits = [split(ts) for ts in series]
+    return sorted(range(len(series)), key=splits.__getitem__)
 
 
 def segment_statistics(

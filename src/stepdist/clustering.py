@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .changepoint import _integral
-from .errors import BadK, DisconnectedDegenerate
+from .errors import BadK
 from .matrices import LabeledSquareMatrix, MatrixKind, to_affinity
 
 
@@ -160,9 +160,7 @@ def to_newick(d: Dendrogram) -> str:
 
 
 def _sym_laplacian(w: np.ndarray) -> np.ndarray:
-    deg = w.sum(axis=1)
-    if np.any(deg == 0.0):
-        raise DisconnectedDegenerate("affinity matrix has an all-zero row")
+    deg = w.sum(axis=1)  # at least 1: an affinity has a unit diagonal and no negative entry
     inv_sqrt = 1.0 / np.sqrt(deg)
     lap = np.eye(w.shape[0]) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
     return (lap + lap.T) / 2.0

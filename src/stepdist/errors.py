@@ -80,9 +80,5 @@ class BadK(StepDistError):
     """Requested cluster count is outside 1..n."""
 
 
-class DisconnectedDegenerate(StepDistError):
-    """Affinity matrix has an all-zero row; spectral embedding undefined."""
-
-
 class WindowOutOfRange(StepDistError):
     """Perturbation window does not fit inside the series domain."""

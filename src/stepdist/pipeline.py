@@ -27,14 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from .changepoint import (
-    Attribute,
     ChangePointSet,
     DetectionParams,
     TimeSeries,
     _integral,
-    _scan_profile,
-    _unit_scaled,
     detect_change_points,
+    detection_order,
 )
 from .clustering import (
     ClusterAssignment,
@@ -193,30 +191,6 @@ def _write_assignment_csv(assignment: ClusterAssignment, path) -> None:
             w.writerow([label, c])
 
 
-def _detection_order(series: list[TimeSeries], params: DetectionParams) -> list[int]:
-    """Indices of ``series`` in order of their whole-window best split (stable).
-
-    Series that split the whole window alike go on to test the same
-    sub-windows, so detecting them back to back lets those windows share
-    their permutation rows; the order changes no result. The split is the
-    float argmax of the observed scan, as ties need no exact decision here.
-    When a series is too short to test, the input order is kept, so the
-    error names the first such series.
-    """
-    ms = params.min_segment
-    if any(ts.values.size < 2 * ms for ts in series):
-        return list(range(len(series)))
-
-    def split(ts: TimeSeries) -> int:
-        w, _ = _unit_scaled(ts.values)
-        if params.attribute is Attribute.MEAN:
-            w = w - w.mean()
-        return int(np.argmax(_scan_profile(w[np.newaxis, :], ms, params.attribute)))
-
-    splits = [split(ts) for ts in series]
-    return sorted(range(len(series)), key=splits.__getitem__)
-
-
 def _embed_all(
     series: list[TimeSeries], config: PipelineConfig
 ) -> tuple[tuple[str, ...], list[ChangePointSet], list[StepFunction]]:
@@ -224,7 +198,7 @@ def _embed_all(
     if len(series) < 2:
         raise InputError(f"pairwise analysis needs >= 2 series, got {len(series)}")
     labels = tuple(ts.id for ts in series)
-    found = {i: detect_change_points(series[i], config) for i in _detection_order(series, config)}
+    found = {i: detect_change_points(series[i], config) for i in detection_order(series, config)}
     cps = [found[i] for i in range(len(series))]
     fs = [from_changepoints(ts, c, config.attribute) for ts, c in zip(series, cps)]
     return labels, cps, fs

@@ -37,6 +37,17 @@ from tests.helpers import (
 )
 
 
+def row_stores():
+    """The whole-series and sub-window row stores."""
+    return changepoint_module._WHOLE_ROWS, changepoint_module._SUB_ROWS
+
+
+def limit_rows(monkeypatch, store, cells, largest=None):
+    """Give ``store`` a budget of ``cells`` and keep windows of at most ``largest`` cells (``cells`` by default)."""
+    monkeypatch.setattr(store, "max_cells", cells)
+    monkeypatch.setattr(store, "largest", cells if largest is None else largest)
+
+
 def jump_series(rng, n=400, at=200, size=10.0, sigma=1.0, sid="x"):
     values = rng.standard_normal(n) * sigma
     values[at:] += size
@@ -234,7 +245,7 @@ class TestSequentialCalibration:
             one_shot = np.tile(w, (199, 1))
             changepoint_module._window_rng(5, 0, n).permuted(one_shot, axis=1, out=one_shot)
             # The whole-series window's kept rows, and the same window's rows streamed.
-            kept = changepoint_module._whole_window_permutations(5, n, 199)
+            kept = changepoint_module._WHOLE_ROWS.rows(5, 0, n, 199)
             assert kept._table.dtype == dtype
             streamed = changepoint_module._WindowRows(5, 0, n, 199, keep=False)
             assert streamed._table is None
@@ -246,8 +257,8 @@ class TestSequentialCalibration:
                     done += take
                 assert done == 199
 
-    # At b = 199 the row cache keeps a window of up to 658 samples (130,942
-    # cells, at most a quarter of _ROW_CACHE_CELLS); one of 659 streams.
+    # At b = 199 the sub-window store keeps a window of up to 658 samples
+    # (130,942 cells, at most its largest, 2^17); one of 659 streams.
     @pytest.mark.parametrize(
         "lo, hi, dtype", [(40, 296, np.uint8), (7, 307, np.uint16), (5, 663, np.uint16), (5, 664, None)]
     )
@@ -255,7 +266,7 @@ class TestSequentialCalibration:
         w = np.random.default_rng(1).standard_normal(hi - lo)
         one_shot = np.tile(w, (199, 1))
         changepoint_module._window_rng(9, lo, hi).permuted(one_shot, axis=1, out=one_shot)
-        cache = changepoint_module._ROW_CACHE
+        cache = changepoint_module._SUB_ROWS
         cache.clear()
         rows = cache.rows(9, lo, hi, 199)
         assert ((9, lo, hi, 199) in cache.entries) == (dtype is not None)
@@ -284,7 +295,7 @@ class TestSequentialCalibration:
         noise = rng.standard_normal(1317)
         ts = TimeSeries("edge", noise + level if attribute is Attribute.MEAN else noise * level)
         params = DetectionParams(attribute=attribute, min_segment=30)
-        cache = changepoint_module._ROW_CACHE
+        cache = changepoint_module._SUB_ROWS
         cache.clear()
         windows = []
         real = cache.rows
@@ -436,8 +447,8 @@ class TestRowCertification:
     @pytest.mark.parametrize("path", ["shared", "streamed"])
     def test_certified_rows_stay_below_the_exact_observed_score(self, path, monkeypatch):
         if path == "streamed":
-            monkeypatch.setattr(changepoint_module, "_SHARED_CELLS", 0)
-            monkeypatch.setattr(changepoint_module, "_ROW_CACHE_CELLS", 0)
+            for store in row_stores():
+                limit_rows(monkeypatch, store, 0)
         certified = []
         real = changepoint_module._Window.certified
 
@@ -553,8 +564,8 @@ class TestRowCertification:
     @pytest.mark.parametrize("path", ["shared", "streamed"])
     def test_blocks_match_a_run_without_certification(self, path, monkeypatch):
         if path == "streamed":
-            monkeypatch.setattr(changepoint_module, "_SHARED_CELLS", 0)
-            monkeypatch.setattr(changepoint_module, "_ROW_CACHE_CELLS", 0)
+            for store in row_stores():
+                limit_rows(monkeypatch, store, 0)
         blocks = []
         real = changepoint_module._Window.exceedances
 
@@ -612,9 +623,9 @@ class TestLongVarianceWindows:
     @pytest.mark.parametrize("path", ["kept", "streamed"])
     def test_collection_matches_full_test(self, path, min_segment, monkeypatch):
         cells = 0 if path == "streamed" else 2**24
-        monkeypatch.setattr(changepoint_module, "_SHARED_CELLS", cells)
-        monkeypatch.setattr(changepoint_module, "_ROW_CACHE_CELLS", cells)
-        changepoint_module._ROW_CACHE.clear()
+        for store in row_stores():
+            limit_rows(monkeypatch, store, cells)
+            store.clear()
         params = DetectionParams(Attribute.VARIANCE, min_segment=min_segment)
         certified = []
         real = changepoint_module._Window.certified
@@ -626,7 +637,8 @@ class TestLongVarianceWindows:
 
         monkeypatch.setattr(changepoint_module._Window, "certified", recording)
         found = [detect_change_points(ts, params).points for ts in long_variance_collection()]
-        changepoint_module._ROW_CACHE.clear()
+        for store in row_stores():
+            store.clear()
         assert found == long_variance_expected(min_segment)
         assert all(found) and sum(certified) > params.permutations
 
@@ -671,7 +683,7 @@ class TestSharedWholeWindow:
         shared = [detect_change_points(ts, params).points for ts in series]
         shared_decided = decided.copy()
         decided.clear()
-        monkeypatch.setattr(changepoint_module, "_SHARED_CELLS", 0)
+        limit_rows(monkeypatch, changepoint_module._WHOLE_ROWS, 0)
         assert [detect_change_points(ts, params).points for ts in series] == shared
         assert len(decided) == len(shared_decided)
         assert all(np.array_equal(a, b) for a, b in zip(decided, shared_decided))
@@ -685,17 +697,55 @@ class TestSharedWholeWindow:
             )
 
     def test_collection_draws_the_table_once(self, monkeypatch):
-        draw = changepoint_module._whole_window_permutations
+        store = changepoint_module._WHOLE_ROWS
         params = SHARED_CASES["mean"]
         series = same_length_collection("mean")
         cells = params.permutations * series[0].values.size
-        for cap, misses in ((cells, 1), (cells - 1, 0)):
-            monkeypatch.setattr(changepoint_module, "_SHARED_CELLS", cap)
-            draw.cache_clear()
+        for cap, kept in ((cells, 1), (cells - 1, 0)):
+            limit_rows(monkeypatch, store, cap)
+            store.clear()
             for ts in series:
                 detect_change_points(ts, params)
-            info = draw.cache_info()
-            assert (info.misses, info.hits) == (misses, misses * (len(series) - 1))
+            assert (len(store.entries), store.hits) == (kept, kept * (len(series) - 1))
+
+    def test_sub_windows_leave_the_whole_window_kept(self, monkeypatch):
+        # Every series keeps more sub-window rows than the sub-window store
+        # holds. In one store shared by every window they would evict the
+        # whole-series rows before the next series reads them.
+        params = DetectionParams()
+        series = many_break_collection()
+        n = series[0].values.size
+        built = []
+        real = changepoint_module._WindowRows
+
+        class Recording(real):
+            def __init__(self, seed, lo, hi, b, keep=True):
+                built[-1].append((lo, hi, keep))
+                super().__init__(seed, lo, hi, b, keep)
+
+        monkeypatch.setattr(changepoint_module, "_WindowRows", Recording)
+        for store in row_stores():
+            store.clear()
+        for ts in series:
+            built.append([])
+            detect_change_points(ts, params)
+        kept = [
+            sum(params.permutations * (hi - lo) for lo, hi, keep in windows if keep and hi - lo < n) for windows in built
+        ]
+        assert min(kept) > changepoint_module._SUB_ROWS.max_cells
+        whole = [w for windows in built for w in windows if w[:2] == (0, n)]
+        assert whole == [(0, n, True)]
+
+
+def many_break_collection(count=6, n=2000):
+    """``count`` series of ``n`` samples, each with 20 mean breaks of its own, at least 40 samples apart."""
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng((89, i))
+        breaks = np.sort(rng.choice(np.arange(80, n - 79, 40), size=20, replace=False))
+        levels = np.repeat(rng.normal(0.0, 3.0, 21), np.diff(np.r_[0, breaks, n]))
+        out.append(TimeSeries(f"many{i}", rng.standard_normal(n) + levels))
+    return out
 
 
 def shared_break_collection(kind, count=10):
@@ -728,7 +778,7 @@ class TestSharedSubWindows:
         more = dataclasses.replace(params, permutations=2 * params.permutations + 1)
         series = shared_break_collection(kind)
         forward = list(range(len(series)))
-        cache = changepoint_module._ROW_CACHE
+        cache = changepoint_module._SUB_ROWS
         cache.clear()
         shared = detect_in_order(series, params, forward)
         assert cache.hits >= 1
@@ -737,7 +787,7 @@ class TestSharedSubWindows:
         for order in (forward[::-1], np.random.default_rng(2).permutation(forward).tolist()):
             cache.clear()
             assert detect_in_order(series, params, order) == shared
-        monkeypatch.setattr(changepoint_module, "_ROW_CACHE_CELLS", 0)
+        limit_rows(monkeypatch, cache, 0)
         cache.clear()
         assert detect_in_order(series, params, forward) == shared
         assert detect_in_order(series, more, forward) == shared_more
@@ -748,7 +798,7 @@ class TestSharedSubWindows:
         params = SHARED_CASES[kind]
         series = shared_break_collection(kind)
         expected = [detect_change_points(ts, params).points for ts in series]
-        changepoint_module._ROW_CACHE.clear()
+        changepoint_module._SUB_ROWS.clear()
         count = 4  # more threads than cores, all extending the same entries
         start = threading.Barrier(count)
         results = [None] * count
@@ -772,8 +822,8 @@ class TestSharedSubWindows:
 
     @pytest.mark.parametrize("budget", [2**19, 2**17])
     def test_cache_stays_within_budget(self, budget, monkeypatch):
-        monkeypatch.setattr(changepoint_module, "_ROW_CACHE_CELLS", budget)
-        cache = changepoint_module._ROW_CACHE
+        cache = changepoint_module._SUB_ROWS
+        limit_rows(monkeypatch, cache, budget, budget // 4)
         cache.clear()
         admitted = []
         real = cache.rows
@@ -885,8 +935,8 @@ class TestSplitTables:
             values = np.random.default_rng(n).standard_normal(n)
             values[n // 2 :] += 2.0
             series.append(TimeSeries(f"s{n}", values))
-        changepoint_module._ROW_CACHE.clear()
-        changepoint_module._whole_window_permutations.cache_clear()
+        for store in row_stores():
+            store.clear()
         changepoint_module._split_sizes.cache_clear()
         gc.collect()
         tracemalloc.start()

@@ -12,8 +12,7 @@ from stepdist import (
     to_affinity,
     to_newick,
 )
-from stepdist.clustering import _sym_laplacian
-from stepdist.errors import BadK, DisconnectedDegenerate
+from stepdist.errors import BadK
 from stepdist.matrices import consistency_matrix
 
 
@@ -201,9 +200,11 @@ class TestSpectral:
         a = block_affinity("abcde", [(1, 3), (0, 2, 4)])
         assert spectral_cluster(a, 2, seed=5).assignments == (0, 1, 0, 1, 0)
 
-    def test_zero_degree_rejected(self):
-        with pytest.raises(DisconnectedDegenerate):
-            _sym_laplacian(np.zeros((3, 3)))
+    @pytest.mark.parametrize("kind", ["distance", "affinity", "alignment", "consistency"])
+    def test_affinity_view_has_no_zero_degree(self, kind):
+        # The Laplacian divides by the square root of each degree, which the
+        # view's unit diagonal and nonnegative entries keep at 1 or more.
+        assert (to_affinity(four_kinds()[kind]).entries.sum(axis=1) >= 1.0).all()
 
 
 def four_kinds():

@@ -1,13 +1,16 @@
-"""The console scripts declared in pyproject.toml resolve to callables.
+"""Packaging checks: console scripts resolve, and no module imports a name it never uses.
 
 The other tests call ``cli.main`` directly, so a stale ``[project.scripts]``
 target would otherwise only show up after installing the package.
 """
 
+import ast
 import importlib
 from pathlib import Path
 
 import pytest
+
+import stepdist
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
@@ -24,3 +27,22 @@ def test_console_scripts_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{name} = {target!r} is not callable"
+
+
+def test_modules_use_every_name_they_import():
+    unused = []
+    for path in sorted(Path(stepdist.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({a.asname or a.name.partition(".")[0]: node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({a.asname or a.name: node.lineno for a in node.names})
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))  # a re-export counts as a use
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
