@@ -2,11 +2,12 @@
 
 Agglomerative clustering is implemented directly so tie-breaking is
 pinned down (smallest node-id pair wins), which the determinism contract
-needs; each merge is one masked argmin and one vectorised Lance-Williams
-row update. Spectral clustering embeds into the k smallest eigenvectors of
-the symmetric normalised Laplacian, row-normalises, and runs seeded
-k-means with farthest-point initialisation; without a given k it chooses
-k itself by the eigengap heuristic (``eigengap_k``).
+needs; the live clusters keep one slot each in an n x n matrix, each slot
+caches its nearest neighbour, and each merge is one vectorised
+Lance-Williams row update. Spectral clustering embeds into the k smallest
+eigenvectors of the symmetric normalised Laplacian, row-normalises, and
+runs seeded k-means with farthest-point initialisation; without a given k
+it chooses k itself by the eigengap heuristic (``eigengap_k``).
 """
 
 from __future__ import annotations
@@ -74,38 +75,69 @@ def _numbered(labels: tuple[str, ...], keys, k: int) -> ClusterAssignment:
     return ClusterAssignment(labels, tuple(order.setdefault(key, len(order)) for key in keys), k)
 
 
+def _nearest(dist: np.ndarray, rows: np.ndarray, order: np.ndarray, near: np.ndarray, low: np.ndarray) -> None:
+    """Cache each row's smallest distance and its partner with the smallest node id there.
+
+    ``order`` holds the live slots by node id, so the first minimum of a row
+    read in that order is the partner. Rows are read 64 at a time, which
+    bounds the gathered copy at 64 rows however many rows are read.
+    """
+    for lo in range(0, rows.size, 64):
+        block = rows[lo : lo + 64]
+        part = order[dist.take(block, axis=0).take(order, axis=1).argmin(axis=1)]
+        near[block] = part
+        low[block] = dist[block, part]
+
+
 def hierarchical_cluster(
     d: LabeledSquareMatrix, linkage: Linkage = Linkage.AVERAGE
 ) -> Dendrogram:
     """Agglomerative clustering of a distance matrix.
 
     Ties in the minimum inter-cluster distance are broken by the smallest
-    (i, j) node-id pair, so the result is fully deterministic.
+    (i, j) node-id pair, so the result is fully deterministic. If every
+    distance between live clusters has overflowed to inf, the two live
+    clusters with the smallest node ids merge.
+
+    The live clusters sit in the slots of an n x n matrix: a merge puts the
+    new cluster in the lower of its two members' slots and retires the other.
+    Each slot caches its smallest distance and its partner with the smallest
+    node id at that distance. After a merge only the rows whose partner
+    merged are read again; every other row compares its cached distance
+    with its distance to the new cluster, which has the largest node id and
+    so takes over only a strictly smaller distance.
     """
     if d.kind is not MatrixKind.DISTANCE:
         raise ValueError(f"hierarchical clustering expects a distance matrix, got {d.kind.value}")
     linkage = Linkage(linkage)
     n = d.n
-    total = 2 * n - 1
-    # Symmetric node-id matrix; inf marks the diagonal, merged-away nodes
-    # and nodes not created yet, so they never win the argmin. Among equal
-    # minima of a symmetric matrix the first in row-major order is the
-    # smallest (i, j) pair with i < j.
-    dist = np.full((total, total), np.inf)
-    dist[:n, :n] = d.entries
+    # inf marks the diagonal and the columns of retired slots, so they are
+    # never a row's nearest while a live partner is finite.
+    dist = np.array(d.entries)
     np.fill_diagonal(dist, np.inf)
-    size = np.zeros(total, dtype=int)
-    size[:n] = 1
-    alive = size > 0
+    node = list(range(n))
+    size = [1] * n
+    order = np.arange(n)  # live slots by node id
+    near = np.empty(n, dtype=int)
+    low = np.empty(n)
+    _nearest(dist, order, order, near, low)
+    closer = np.empty(n, dtype=bool)
     merges = []
     for step in range(n - 1):
-        new = n + step
-        i, j = divmod(int(np.argmin(dist[:new])), total)
-        if dist[i, j] == np.inf:  # every live pair overflowed: take the first one
-            i, j = np.flatnonzero(alive)[:2].tolist()
-        merges.append((i, j, float(dist[i, j]), int(size[i] + size[j])))
-        size[new] = size[i] + size[j]
-        di, dj = dist[i, :new], dist[j, :new]
+        # The first minimum in node-id order is the slot with the smallest
+        # node id among the closest pairs, and its cached partner completes
+        # the smallest (i, j) pair.
+        pa = int(low[order].argmin())
+        a = int(order[pa])
+        if low[a] == np.inf:  # every live pair overflowed: take the first two
+            pa, pb = 0, 1
+            a, b = order[:2].tolist()
+        else:
+            b = int(near[a])
+            pb = int((order == b).argmax())
+        sa, sb = size[a], size[b]
+        merges.append((node[a], node[b], float(dist[a, b]), sa + sb))
+        di, dj = dist[a], dist[b]
         # Lance-Williams update. Between equal values where() keeps the
         # first, as min() and max() do, so even the sign of a zero is fixed.
         if linkage is Linkage.SINGLE:
@@ -113,14 +145,27 @@ def hierarchical_cluster(
         elif linkage is Linkage.COMPLETE:
             row = np.where(dj > di, dj, di)
         else:
-            row = (size[i] * di + size[j] * dj) / (size[i] + size[j])
-        row[[i, j]] = np.inf
-        dist[new, :new] = row
-        dist[:new, new] = row
-        dist[[i, j], :] = np.inf
-        dist[:, [i, j]] = np.inf
-        alive[[i, j]] = False
-        alive[new] = True
+            row = (sa * di + sb * dj) / (sa + sb)
+        c, r = (a, b) if a < b else (b, a)
+        row[a] = row[b] = np.inf
+        dist[c] = row
+        dist[:, c] = row
+        dist[:, r] = np.inf  # the retired row itself is never read again
+        node[c] = n + step
+        size[c] = sa + sb
+        # a and b leave the node-id order and the new node joins at its end.
+        order[pa : pb - 1] = order[pa + 1 : pb]
+        order[pb - 1 : -2] = order[pb + 1 :]
+        order[-2] = c
+        order = order[:-1]
+        low[r] = np.inf
+        near[r] = -1
+        near[c] = c  # read again below, with the rows whose partner merged
+        stale = ((near == a) | (near == b)).nonzero()[0]
+        np.less(row, low, out=closer)
+        np.copyto(low, row, where=closer)
+        np.copyto(near, c, where=closer)
+        _nearest(dist, stale, order, near, low)
     return Dendrogram(d.labels, tuple(merges))
 
 

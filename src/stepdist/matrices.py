@@ -40,6 +40,7 @@ class MatrixKind(str, Enum):
 class LabeledSquareMatrix:
     """A symmetric n x n matrix over an indexed collection.
 
+    The entries are kept as a read-only, C-ordered float copy.
     Invariants checked at construction:
       distance:    zero diagonal, entries >= 0
       affinity:    unit diagonal, entries in [0, 1]
@@ -56,7 +57,7 @@ class LabeledSquareMatrix:
         labels = tuple(str(x) for x in self.labels)
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
-        m = np.array(self.entries, dtype=float)
+        m = np.array(self.entries, dtype=float, order="C")
         n = len(labels)
         if m.shape != (n, n):
             raise ValueError(f"entries must be {n}x{n}, got {m.shape}")
@@ -229,21 +230,27 @@ def write_matrix_csv(m: LabeledSquareMatrix, path) -> None:
     exact same doubles. The values of a row are joined in one piece, since
     no float's repr needs csv quoting; labels go through the csv writer.
     A matrix is symmetric, so each value of the upper triangle is rendered
-    once and mirrored below the diagonal; a value below it is rendered
-    itself where it differs from its mirror image, in value or in sign bit
-    (0.0 against -0.0, which compare equal but render differently).
+    once, as its row is written, and mirrored below the diagonal; a value
+    below it is rendered itself where it differs from its mirror image, in
+    value or in sign bit (0.0 against -0.0, which compare equal but render
+    differently). Each rendered value is kept only until the row that
+    mirrors it is written, so at most a quarter of the matrix is held as
+    text at once.
     """
     entries = np.asarray(m.entries)
-    upper = [list(map(repr, row[i:])) for i, row in enumerate(entries.tolist())]  # upper[i][k]: (i, i + k)
     apart = (entries != entries.T) | (np.signbit(entries) != np.signbit(entries.T))
+    # Before row i, mirrors[j] holds the text of (j, i), ..., (j, n - 1), with (j, i) last.
+    mirrors = []
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(m.labels)
         field = io.StringIO()
         quoting = csv.writer(field)
         for i, label in enumerate(m.labels):
-            cells = [upper[j][i - j] for j in range(i)] + upper[i]
+            own = list(map(repr, entries[i, i:].tolist()))
+            cells = list(map(list.pop, mirrors)) + own
             for j in np.flatnonzero(apart[i, :i]).tolist():
                 cells[j] = repr(float(entries[i, j]))
+            mirrors.append(own[:0:-1])
             # The writer quotes the label as in a full row, then "," and "\r\n".
             quoting.writerow([label, ""])
             fh.write(field.getvalue()[:-2] + ",".join(cells) + "\r\n")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import hashlib
 import json
 import logging
 import math
@@ -268,12 +269,13 @@ def run_analysis(config: PipelineConfig) -> dict:
 
     out = _write_matrices(matrices, config)
     # Matrices with bit-identical affinity views (a distance and its affinity)
-    # share one clustering.
+    # share one clustering. A view is known by the digest of its buffer,
+    # which holds no copy of the view.
     by_view: dict[bytes, ClusterAssignment] = {}
     chosen_k = {}
     for name, m in matrices.items():
         affinity = to_affinity(m)
-        key = affinity.entries.tobytes()
+        key = hashlib.sha256(affinity.entries).digest()
         if key not in by_view:
             by_view[key] = spectral_cluster(affinity, config.k, config.seed)
         assignment = by_view[key]

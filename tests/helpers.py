@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from stepdist import StepFunction
+from stepdist import Dendrogram, LabeledSquareMatrix, Linkage, MatrixKind, StepFunction
 
 
 def random_step_function(rng, h=1.0, max_segments=8, vmax=5.0) -> StepFunction:
@@ -362,7 +362,7 @@ def reference_alignment(fs) -> np.ndarray:
     return m
 
 
-def reference_hierarchical_cluster(entries: np.ndarray, linkage: str) -> tuple:
+def reference_linkage_loop(entries: np.ndarray, linkage: str) -> tuple:
     """Merges (i, j, height, size) of the per-pair agglomeration loop."""
     n = entries.shape[0]
     total = 2 * n - 1
@@ -396,6 +396,50 @@ def reference_hierarchical_cluster(entries: np.ndarray, linkage: str) -> tuple:
             dist[m, new] = v
         active.append(new)
     return tuple(merges)
+
+
+def reference_hierarchical_cluster(d: LabeledSquareMatrix, linkage: Linkage = Linkage.AVERAGE) -> Dendrogram:
+    """The masked-argmin agglomeration before cached nearest neighbours, kept verbatim."""
+    if d.kind is not MatrixKind.DISTANCE:
+        raise ValueError(f"hierarchical clustering expects a distance matrix, got {d.kind.value}")
+    linkage = Linkage(linkage)
+    n = d.n
+    total = 2 * n - 1
+    # Symmetric node-id matrix; inf marks the diagonal, merged-away nodes
+    # and nodes not created yet, so they never win the argmin. Among equal
+    # minima of a symmetric matrix the first in row-major order is the
+    # smallest (i, j) pair with i < j.
+    dist = np.full((total, total), np.inf)
+    dist[:n, :n] = d.entries
+    np.fill_diagonal(dist, np.inf)
+    size = np.zeros(total, dtype=int)
+    size[:n] = 1
+    alive = size > 0
+    merges = []
+    for step in range(n - 1):
+        new = n + step
+        i, j = divmod(int(np.argmin(dist[:new])), total)
+        if dist[i, j] == np.inf:  # every live pair overflowed: take the first one
+            i, j = np.flatnonzero(alive)[:2].tolist()
+        merges.append((i, j, float(dist[i, j]), int(size[i] + size[j])))
+        size[new] = size[i] + size[j]
+        di, dj = dist[i, :new], dist[j, :new]
+        # Lance-Williams update. Between equal values where() keeps the
+        # first, as min() and max() do, so even the sign of a zero is fixed.
+        if linkage is Linkage.SINGLE:
+            row = np.where(dj < di, dj, di)
+        elif linkage is Linkage.COMPLETE:
+            row = np.where(dj > di, dj, di)
+        else:
+            row = (size[i] * di + size[j] * dj) / (size[i] + size[j])
+        row[[i, j]] = np.inf
+        dist[new, :new] = row
+        dist[:new, new] = row
+        dist[[i, j], :] = np.inf
+        dist[:, [i, j]] = np.inf
+        alive[[i, j]] = False
+        alive[new] = True
+    return Dendrogram(d.labels, tuple(merges))
 
 
 def _exact_split_stats(z: list[int], min_segment: int, attribute: str) -> list[tuple[int, int]]:

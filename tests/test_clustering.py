@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from stepdist import (
 )
 from stepdist.errors import BadK
 from stepdist.matrices import consistency_matrix
+
+from tests.helpers import reference_hierarchical_cluster
 
 
 def distance(labels, entries):
@@ -43,6 +47,27 @@ def partition(assignment):
     for label, c in zip(assignment.labels, assignment.assignments):
         parts[c] = parts.get(c, frozenset()) | {label}
     return frozenset(parts.values())
+
+
+def seeded_distance(rng, n, draw, symmetrise):
+    """A seeded n x n distance matrix: draw(rng, shape) above the diagonal, mirrored by symmetrise."""
+    m = draw(rng, (n, n))
+    m = np.minimum(m, m.T) if symmetrise == "min" else m + m.T
+    np.fill_diagonal(m, 0.0)
+    return distance([f"s{i}" for i in range(n)], m)
+
+
+DRAWS = {
+    "integer": lambda rng, shape: rng.integers(0, 4, shape).astype(float),
+    "half-integer": lambda rng, shape: rng.integers(0, 8, shape) / 2.0,
+    "continuous": lambda rng, shape: rng.uniform(0.0, 10.0, shape),
+    "signed zeros": lambda rng, shape: rng.choice([-0.0, 0.0, 1.0, 2.0], shape),
+}
+
+
+def near_max(rng, shape):
+    """Upper-triangle distances up to 1.7e308, whose sums overflow."""
+    return np.triu(rng.uniform(0.0, 1.7e308, shape), 1)
 
 
 class TestHierarchical:
@@ -86,6 +111,51 @@ class TestHierarchical:
         a = block_affinity("ab", [(0, 1)])
         with pytest.raises(ValueError):
             hierarchical_cluster(a)
+
+    @pytest.mark.parametrize("linkage", list(Linkage))
+    @pytest.mark.parametrize("symmetrise", ["min", "sum"])
+    @pytest.mark.parametrize("draw", list(DRAWS))
+    def test_same_merges_as_masked_argmin_bit_for_bit(self, draw, symmetrise, linkage):
+        # Integer and half-integer distances tie everywhere, so every rule
+        # of the smallest (i, j) node-id pair is exercised; 0.0 and -0.0
+        # tie too, and the height keeps the sign the update left.
+        rng = np.random.default_rng([list(DRAWS).index(draw), int(symmetrise == "min")])
+        for n in np.tile(np.arange(2, 41), 2)[:50].tolist():
+            d = seeded_distance(rng, n, DRAWS[draw], symmetrise)
+            got = hierarchical_cluster(d, linkage).merges
+            want = reference_hierarchical_cluster(d, linkage).merges
+            assert got == want, n
+            heights = np.array([[h for _, _, h, _ in got], [h for _, _, h, _ in want]])
+            assert heights[0].tobytes() == heights[1].tobytes(), n
+
+    @pytest.mark.parametrize(
+        "n, want, overflowed",
+        [
+            (6, [(2, 4, 2), (1, 3, 2), (5, 6, 3), (0, 7, 3), (8, 9, 6)], 4),
+            (9, [(1, 3, 2), (0, 8, 2), (4, 7, 2), (5, 6, 2), (2, 9, 3), (10, 11, 4), (12, 13, 5), (14, 15, 9)], 5),
+        ],
+    )
+    def test_overflowed_average_merges_the_smallest_node_ids(self, n, want, overflowed):
+        # Averages of distances near the largest double overflow to inf;
+        # once every live pair is inf, the two smallest node ids merge.
+        d = seeded_distance(np.random.default_rng(n), n, near_max, "sum")
+        with np.errstate(over="ignore"):
+            got = hierarchical_cluster(d, Linkage.AVERAGE).merges
+            assert got == reference_hierarchical_cluster(d, Linkage.AVERAGE).merges
+        assert [(i, j, size) for i, j, _, size in got] == want
+        assert [h == np.inf for _, _, h, _ in got] == [t >= overflowed for t in range(n - 1)]
+
+    def test_traced_peak_per_cell(self):
+        # One n x n working copy and a few rows, not a (2n - 1)^2 node matrix.
+        n = 400
+        d = seeded_distance(np.random.default_rng(40), n, DRAWS["continuous"], "sum")
+        tracemalloc.start()
+        try:
+            hierarchical_cluster(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n) < 12
 
 
 class TestCut:

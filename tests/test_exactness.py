@@ -33,8 +33,8 @@ from stepdist import (
 from tests.helpers import (
     random_step_function,
     reference_alignment,
-    reference_hierarchical_cluster,
     reference_inner_product,
+    reference_linkage_loop,
     reference_lp_distance,
     reference_lp_norm,
     reference_pairwise,
@@ -121,7 +121,7 @@ def test_linkage_matches_per_pair_loop_on_ties(n, linkage):
         m = tied_matrix(rng, n)
         d = LabeledSquareMatrix(tuple(f"s{i}" for i in range(n)), m, MatrixKind.DISTANCE)
         got = hierarchical_cluster(d, linkage).merges
-        want = reference_hierarchical_cluster(m, linkage.value)
+        want = reference_linkage_loop(m, linkage.value)
         assert got == want
         assert same_bits([mg[2] for mg in got], [mg[2] for mg in want])
 
@@ -131,7 +131,7 @@ def test_linkage_with_overflowing_average_matches_per_pair_loop():
     np.fill_diagonal(m, 0.0)
     d = LabeledSquareMatrix(tuple("abcd"), m, MatrixKind.DISTANCE)
     with np.errstate(over="ignore"):
-        want = reference_hierarchical_cluster(m, "average")
+        want = reference_linkage_loop(m, "average")
         assert hierarchical_cluster(d, Linkage.AVERAGE).merges == want
     assert want[-1][2] == math.inf
 

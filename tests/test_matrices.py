@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -272,6 +273,36 @@ class TestCsv:
         assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
         back = read_matrix_csv(tmp_path / "rows.csv", MatrixKind.CONSISTENCY).entries
         assert np.array_equal(np.signbit(back), np.signbit(entries))
+
+
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_bytes_match_per_value_writer_with_scattered_signed_zeros(self, tmp_path, n):
+        # Every row pops its mirrored values from the rows above it; signed
+        # zeros below the diagonal must still be rendered themselves.
+        rng = np.random.default_rng(n)
+        entries = np.triu(rng.choice([0.0, -0.0, 0.5, 1.0 / 3.0, -1e-300], (n, n)), 1)
+        entries = entries + entries.T
+        flip = (rng.random((n, n)) < 0.3) & (entries == 0.0)
+        entries[flip] = -entries[flip]
+        m = LabeledSquareMatrix(tuple(f"s{i}" for i in range(n)), entries, MatrixKind.CONSISTENCY)
+        write_matrix_csv(m, tmp_path / "rows.csv")
+        reference_write_matrix_csv(m, tmp_path / "values.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
+
+    def test_traced_peak_per_cell(self, tmp_path):
+        # Rows are converted one at a time and each rendered value is freed
+        # once its mirror is written, so about a quarter of the matrix is
+        # held as text at the peak, not the whole matrix as floats and text.
+        n = 400
+        entries = np.triu(np.random.default_rng(41).uniform(0.0, 10.0, (n, n)), 1)
+        m = LabeledSquareMatrix(tuple(f"s{i}" for i in range(n)), entries + entries.T, MatrixKind.DISTANCE)
+        tracemalloc.start()
+        try:
+            write_matrix_csv(m, tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n) < 32
 
 
 class TestReadCsv:
