@@ -116,9 +116,14 @@ def _lp_distances(fs: list[StepFunction], p: float) -> np.ndarray:
 def unscaled_distance_matrix(
     fs: list[StepFunction], p: float, labels=None
 ) -> LabeledSquareMatrix:
-    """Pairwise ||f_i - f_j||_p."""
+    """Pairwise ||f_i - f_j||_p; a distance beyond the double range raises ValueError naming its first pair."""
     labels = _default_labels(fs, labels)
-    return LabeledSquareMatrix(labels, _lp_distances(fs, p), MatrixKind.DISTANCE)
+    d = _lp_distances(fs, p)
+    over = np.argwhere(np.isinf(d))
+    if over.size:
+        i, j = over[0]  # row-major, so i < j
+        raise ValueError(f"L^{float(p):g} distance between {labels[i]!r} and {labels[j]!r} exceeds the double range")
+    return LabeledSquareMatrix(labels, d, MatrixKind.DISTANCE)
 
 
 def normalized_distance_matrix(

@@ -1,9 +1,10 @@
 """End-to-end analyses: CSV ingestion, matrix suite, clustering outputs.
 
-``run_analysis`` embeds every series of a wide CSV, writes the full set
-of distance/alignment/affinity matrices (plus geographic and consistency
-matrices when station metadata is provided), a dendrogram and a flat
-cluster assignment per matrix, and a summary JSON with magnitudes and
+``run_analysis`` embeds every series of a wide CSV and writes its matrices
+one family at a time: a distance matrix with its affinity, or the alignment
+matrix, and with station metadata the geographic pair and a consistency
+matrix per family. Each matrix gets a CSV and a dendrogram, each family one
+flat clustering, and the run a summary JSON with magnitudes and
 consistency norms. ``compare_metrics`` runs the side-by-side comparison
 of set-based break metrics against the step-function distance on a
 series collection (the committed benchmark suite by default).
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import errno
-import hashlib
 import json
 import logging
 import math
@@ -36,7 +36,6 @@ from .changepoint import (
     detection_order,
 )
 from .clustering import (
-    ClusterAssignment,
     Linkage,
     hierarchical_cluster,
     spectral_cluster,
@@ -184,14 +183,6 @@ def ingest(
     return series, stations
 
 
-def _write_assignment_csv(assignment: ClusterAssignment, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label", "cluster"])
-        for label, c in zip(assignment.labels, assignment.assignments):
-            w.writerow([label, c])
-
-
 def _embed_all(
     series: list[TimeSeries], config: PipelineConfig
 ) -> tuple[tuple[str, ...], list[ChangePointSet], list[StepFunction]]:
@@ -233,7 +224,13 @@ def run_analysis(config: PipelineConfig) -> dict:
     """Full matrix/clustering analysis of a series collection.
 
     Writes matrix CSVs, Newick dendrograms, cluster assignment CSVs and a
-    summary JSON into ``config.out_dir``; returns the summary dict.
+    summary JSON into ``config.out_dir``; returns the summary dict. Every
+    check that can fail runs in the three step-function builds, before the
+    first file. Then each family is written, linked, clustered once and
+    released in turn: {geo_distance, affinity_geo} with metadata, then
+    {distance_X, affinity_X} for X in unscaled and normalized, and
+    {alignment}, each followed by {consistency_X} with metadata. Members of
+    a family share the clustering of their common affinity view.
     """
     if config.series_path is None or not config.out_dir:
         raise ValueError("a series CSV (series_path) and an output directory (out_dir) are required")
@@ -243,44 +240,39 @@ def run_analysis(config: PipelineConfig) -> dict:
     _check_out_dir(config.out_dir)
     labels, _, fs = _embed_all(series, config)
 
-    d_us = unscaled_distance_matrix(fs, config.p, labels)
-    d_norm = normalized_distance_matrix(fs, config.p, labels)
-    omega = alignment_matrix(fs, labels)
-    matrices = {
-        "distance_unscaled": d_us,
-        "distance_normalized": d_norm,
-        "alignment": omega,
-        "affinity_unscaled": to_affinity(d_us),
-        "affinity_normalized": to_affinity(d_norm),
-    }
-    consistency_norms = {}
+    steps = [
+        ("unscaled", unscaled_distance_matrix(fs, config.p, labels)),
+        ("normalized", normalized_distance_matrix(fs, config.p, labels)),
+        ("alignment", alignment_matrix(fs, labels)),
+    ]
+    chosen_k, consistency_norms = {}, {}
+
+    def emit(family: dict[str, LabeledSquareMatrix]) -> LabeledSquareMatrix:
+        """Write a family, cluster its last matrix once for every member's cluster file, and return that matrix."""
+        out = _write_matrices(family, config)
+        *_, last = family.values()
+        assignment = spectral_cluster(last, config.k, config.seed)
+        rows = [("label", "cluster"), *zip(assignment.labels, assignment.assignments)]
+        for name in family:
+            with open(out / f"{name}_clusters.csv", "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+            chosen_k[name] = assignment.k
+        return last
+
+    a_g = None
     if stations is not None:
         g = geo_distance_matrix(stations)
-        a_g = to_affinity(g)
-        matrices["geo_distance"] = g
-        matrices["affinity_geo"] = a_g
-        cons = {
-            "consistency_unscaled": consistency_matrix(matrices["affinity_unscaled"], a_g),
-            "consistency_normalized": consistency_matrix(matrices["affinity_normalized"], a_g),
-            "consistency_alignment": consistency_matrix(omega, a_g),
-        }
-        matrices.update(cons)
-        consistency_norms = {name: matrix_norm(m) for name, m in cons.items()}
-
-    out = _write_matrices(matrices, config)
-    # Matrices with bit-identical affinity views (a distance and its affinity)
-    # share one clustering. A view is known by the digest of its buffer,
-    # which holds no copy of the view.
-    by_view: dict[bytes, ClusterAssignment] = {}
-    chosen_k = {}
-    for name, m in matrices.items():
-        affinity = to_affinity(m)
-        key = hashlib.sha256(affinity.entries).digest()
-        if key not in by_view:
-            by_view[key] = spectral_cluster(affinity, config.k, config.seed)
-        assignment = by_view[key]
-        _write_assignment_csv(assignment, out / f"{name}_clusters.csv")
-        chosen_k[name] = assignment.k
+        a_g = emit({"geo_distance": g, "affinity_geo": to_affinity(g)})
+        del g
+    while steps:  # popped and deleted: only the family at hand and the steps to come stay live
+        x, m = steps.pop(0)
+        last = emit({x: m} if m.kind is MatrixKind.ALIGNMENT else {f"distance_{x}": m, f"affinity_{x}": to_affinity(m)})
+        del m
+        if a_g is not None:
+            last = consistency_matrix(last, a_g)
+            consistency_norms[f"consistency_{x}"] = matrix_norm(last)
+            emit({f"consistency_{x}": last})
+        del last
     summary = {
         **{f.name: getattr(config, f.name) for f in fields(DetectionParams)},
         "p": "inf" if config.p == float("inf") else config.p,
@@ -291,7 +283,7 @@ def run_analysis(config: PipelineConfig) -> dict:
     }
     if consistency_norms:
         summary["consistency_norms"] = consistency_norms
-    with open(out / "summary.json", "w", newline="", encoding="utf-8") as fh:
+    with open(Path(config.out_dir) / "summary.json", "w", newline="", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary

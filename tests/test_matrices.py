@@ -73,6 +73,15 @@ class TestUnscaledDistance:
                     assert m.entries[i, j] == expected
 
 
+    @pytest.mark.parametrize("p, name", [(1, "L^1"), (2.5, "L^2.5"), (math.inf, "L^inf")])
+    def test_overflowing_distance_names_its_pair(self, p, name):
+        # Every value is finite; only the distance between b and c, 1.9e308,
+        # lies beyond the double range.
+        fs = [StepFunction.constant(v, 1.0) for v in (0.8e308, 1.0e308, -0.9e308)]
+        message = f"{name} distance between 'b' and 'c' exceeds the double range"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            unscaled_distance_matrix(fs, p, labels=("a", "b", "c"))
+
 class TestNormalizedDistance:
     def test_scaling_collapses(self):
         f = StepFunction((0.0, 0.4, 1.0), (1.0, 3.0))

@@ -24,7 +24,16 @@ from stepdist import (
 )
 from stepdist.cli import main
 from stepdist.clustering import Linkage
-from stepdist.errors import AllMissingColumn, BadK, DuplicateStation, EmptySet, IdMismatch, InputError, UnparseableCell
+from stepdist.errors import (
+    AllMissingColumn,
+    BadK,
+    DuplicateStation,
+    EmptySet,
+    IdMismatch,
+    InputError,
+    UnparseableCell,
+    ZeroFunction,
+)
 from stepdist.pipeline import PipelineConfig, _embed_all, compare_metrics, run_analysis
 from tests.helpers import random_series_csv, reference_ingest
 
@@ -351,6 +360,61 @@ class TestRunAnalysis:
         assert np.isfinite(d).all()
         if overflow == "difference":
             assert d[0, 1] == pytest.approx(58 / 119 * 1e308, rel=1e-15, abs=0.0)
+
+    def test_traced_peak_per_cell(self, tmp_path):
+        # Each matrix family is written and clustered before the next one is
+        # built, so only the three step-function matrices and the family at
+        # hand are live. Building every matrix and affinity view of the run
+        # before the first write peaks at 87 B per cell, above the bound.
+        n = 200
+        rng = np.random.default_rng(200)
+        levels = rng.normal(0.0, 5.0, (20, 2))
+        cols = [np.repeat(levels[i % 20], 60) + rng.normal(0.0, 1.0, 120) for i in range(n)]
+        src = tmp_path / "s.csv"
+        write_series_csv(src, [f"s{i}" for i in range(n)], cols, n=120)
+        config = PipelineConfig(series_path=str(src), out_dir=str(tmp_path / "o"), permutations=19)
+        tracemalloc.start()
+        try:
+            run_analysis(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n**2 <= 78
+
+
+class TestNoOutputOnError:
+    # Every check that can fail runs before the first family is written, so a
+    # run that fails on its data exits 2, names the culprit and leaves no
+    # output directory behind.
+    def check_rejected(self, tmp_path, capsys, src, metadata, error, message):
+        out = tmp_path / "o"
+        config = PipelineConfig(series_path=str(src), metadata_path=metadata and str(metadata), out_dir=str(out))
+        with pytest.raises(error, match=re.escape(message)):
+            run_analysis(config)
+        assert not out.exists()
+        argv = ["run", "--series", str(src), "--out", str(out)] + (["--metadata", str(metadata)] if metadata else [])
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metadata", [False, True], ids=["plain", "metadata"])
+    def test_zero_series(self, tmp_path, capsys, metadata):
+        rng = np.random.default_rng(6)
+        cols = [np.concatenate([rng.normal(0, 1, 80), rng.normal(6, 1, 80)]), np.zeros(160), rng.normal(2, 1, 160)]
+        src = tmp_path / "s.csv"
+        write_series_csv(src, ["a", "z", "c"], cols)
+        stations = tmp_path / "stations.csv"
+        stations.write_text("id,lat_deg,lon_deg\na,0.0,0.0\nz,0.0,0.5\nc,1.0,0.0\n")
+        message = "series 'z' embeds to the zero function"
+        self.check_rejected(tmp_path, capsys, src, stations if metadata else None, ZeroFunction, message)
+
+    def test_overflowing_distance(self, tmp_path, capsys):
+        # Every value is finite, but ||s0 - s1||_1 is about 1.8 * 1.7e308.
+        cols = [np.repeat([0.8 * 1.7e308, 0.95 * 1.7e308], 50), np.repeat([-0.85 * 1.7e308, -0.9 * 1.7e308], 50)]
+        src = tmp_path / "s.csv"
+        write_series_csv(src, ["s0", "s1"], cols, n=100)
+        message = "L^1 distance between 's0' and 's1' exceeds the double range"
+        self.check_rejected(tmp_path, capsys, src, None, ValueError, message)
 
 
 class TestCompareMetrics:
