@@ -22,9 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .changepoint import _unit_scaled
 from .errors import LabelMismatch, UnparseableCell, ZeroFunction, not_utf8
-from .stepfn import PackedSteps, StepFunction, inner_product_row, lp_distance_row, lp_norm, normalize, pack
+from .stepfn import StepFunction, inner_product_row, lp_distance_row, lp_norm, normalize, pack, unit_pack
 
 _CLAMP_TOL = 1e-12
 
@@ -144,7 +143,7 @@ def alignment_matrix(fs: list[StepFunction], labels=None) -> LabeledSquareMatrix
     """Pairwise L^2 cosines <f_i, f_j> / (||f_i||_2 ||f_j||_2).
 
     Each function and its norm are first scaled by the power of two that
-    brings its largest magnitude into [0.5, 1) (``changepoint._unit_scaled``).
+    brings its largest magnitude into [0.5, 1) (``stepfn.unit_pack``).
     The scaling is exact and cancels in every cosine, so ordinary data gets
     the same bits as unscaled sums, while the inner products neither
     overflow nor underflow at extreme magnitudes.
@@ -156,10 +155,8 @@ def alignment_matrix(fs: list[StepFunction], labels=None) -> LabeledSquareMatrix
         if nrm == 0.0:
             raise ZeroFunction(f"series {label!r} embeds to the zero function")
         norms.append(nrm)
-    packed = pack(fs)
-    values, e = _unit_scaled(packed.values)
-    packed = PackedSteps(packed.breakpoints, values, packed.h)
-    norms = np.ldexp(norms, -e[:, 0])
+    packed, e = unit_pack(fs)
+    norms = np.ldexp(norms, -e)
 
     def cosines(i: int) -> np.ndarray:
         c = np.asarray(inner_product_row(packed, i)) / (norms[i] * norms[i + 1 :])
@@ -207,8 +204,7 @@ def to_affinity(m: LabeledSquareMatrix) -> LabeledSquareMatrix:
         if top == 0.0:
             a = np.ones_like(d)
         else:
-            a = 1.0 - d / top
-            np.fill_diagonal(a, 1.0)
+            a = 1.0 - d / top  # the diagonal of d is +-0, so that of a is exactly 1
     return LabeledSquareMatrix(m.labels, a, MatrixKind.AFFINITY)
 
 
@@ -235,15 +231,16 @@ def write_matrix_csv(m: LabeledSquareMatrix, path) -> None:
     exact same doubles. The values of a row are joined in one piece, since
     no float's repr needs csv quoting; labels go through the csv writer.
     A matrix is symmetric, so each value of the upper triangle is rendered
-    once, as its row is written, and mirrored below the diagonal; a value
-    below it is rendered itself where it differs from its mirror image, in
-    value or in sign bit (0.0 against -0.0, which compare equal but render
-    differently). Each rendered value is kept only until the row that
+    once, as its row is written, and mirrored below the diagonal. The
+    constructor checked that the entries equal their transpose, so a value
+    below the diagonal differs from its mirror image only in sign bit (0.0
+    against -0.0, which compare equal but render differently); such a value
+    is rendered itself. Each rendered value is kept only until the row that
     mirrors it is written, so at most a quarter of the matrix is held as
     text at once.
     """
     entries = np.asarray(m.entries)
-    apart = (entries != entries.T) | (np.signbit(entries) != np.signbit(entries.T))
+    apart = np.signbit(entries) != np.signbit(entries.T)
     # Before row i, mirrors[j] holds the text of (j, i), ..., (j, n - 1), with (j, i) last.
     mirrors = []
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -8,10 +8,8 @@ Distances between points are plain |s - t| in index units.
 Change points are ints, so every point-to-set distance is an exact int:
 the nearest point of the other set is found by bisection, with no
 |S| x |T| table of distances. The Hausdorff and modified-Hausdorff values
-and MJ at p = 1 or inf are then exact int maxima and sums, and each is
-bit-identical to the table-based float code it replaced (float sums of
-integers below 2^53 are exact, and int true division is correctly
-rounded). MJ at any other p still sums d^p in floating point, as before.
+and MJ at p = 1 or inf are then exact int maxima and sums. MJ at any
+other p sums d^p in floating point.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ forms are identical, iff their L^p distance is zero.
 All norms use the normalised measure (1/H) dx on [0, H], so the constant
 function 1 has norm 1 for every p. Integrals are evaluated in exact
 closed form over merged breakpoint partitions; no quadrature is involved.
+L^2 inner products sum the cells of functions scaled by powers of two
+(``unit_pack``) and scale back once: scaling an input by 2^k scales the
+result by exactly 2^k while its values stay normal, and only a result
+beyond the float range is inf.
 """
 
 from __future__ import annotations
@@ -142,6 +146,18 @@ def pack(fs) -> PackedSteps:
     return PackedSteps(bps, vals, h)
 
 
+def unit_pack(fs) -> tuple[PackedSteps, np.ndarray]:
+    """``pack(fs)`` with row i scaled by 2^-e[i] into max magnitude [0.5, 1), and e.
+
+    The scaling is ``changepoint._unit_scaled``: exact unless a value turns
+    subnormal, so an inner product of rows i and j times 2^(e[i] + e[j]) is
+    that of f_i and f_j, while every term of its sum is at most its width.
+    """
+    packed = pack(fs)
+    values, e = _unit_scaled(packed.values)
+    return PackedSteps(packed.breakpoints, values, packed.h), e[:, 0]
+
+
 def merged_cells(packed: PackedSteps, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Merged partitions of f_i with every f_j, j > i, flattened pair by pair.
 
@@ -178,10 +194,10 @@ def _power_terms(mags: np.ndarray, widths: np.ndarray, p: float) -> np.ndarray:
 
 
 def _fsum(terms: list[float]) -> float:
-    """Exact sum; inf when finite terms sum beyond the float range, or terms hold inf and -inf."""
+    """Exact sum of non-negative terms; inf when a term or the sum lies beyond the float range."""
     try:
         return math.fsum(terms)
-    except (OverflowError, ValueError):
+    except OverflowError:
         return INF
 
 
@@ -231,35 +247,14 @@ def lp_distance_row(packed: PackedSteps, i: int, p: float) -> list[float]:
     return norms
 
 
-def _rescaled_inner_sum(vf: np.ndarray, vg: np.ndarray, widths: np.ndarray, h: float) -> float:
-    """(1/h) * sum vf * vg * widths, for cells whose direct sum leaves the float range.
-
-    Both factors are scaled by powers of two into max magnitude [0.5, 1)
-    (``changepoint._unit_scaled``), so every term is at most its width and
-    the exact sum stays finite; scaling back gives +-inf only when the
-    result itself lies beyond the float range.
-    """
-    sf, ef = _unit_scaled(vf)
-    sg, eg = _unit_scaled(vg)
-    total = math.fsum((sf * sg * widths).tolist()) / h
-    try:
-        return math.ldexp(total, int(ef[0] + eg[0]))
-    except OverflowError:
-        return math.copysign(INF, total)
-
-
 def inner_product_row(packed: PackedSteps, i: int) -> list[float]:
-    """<f_i, f_j> for every j > i, one exact sum per pair."""
+    """<f_i, f_j> for every j > i, one exact sum per pair, on rows from ``unit_pack``.
+
+    Unit-scaled terms are at most their cell widths, so no sum overflows.
+    """
     widths, vf, vg, bounds = merged_cells(packed, i)
-    with np.errstate(over="ignore"):
-        terms = (vf * vg * widths).tolist()
-    out = []
-    for a, b in _groups(bounds):
-        total = _fsum(terms[a:b]) / packed.h
-        if not math.isfinite(total):  # a term or a partial sum overflowed
-            total = _rescaled_inner_sum(vf[a:b], vg[a:b], widths[a:b], packed.h)
-        out.append(total)
-    return out
+    terms = (vf * vg * widths).tolist()
+    return [math.fsum(terms[a:b]) / packed.h for a, b in _groups(bounds)]
 
 
 def lp_distance(f: StepFunction, g: StepFunction, p: float) -> float:
@@ -269,8 +264,16 @@ def lp_distance(f: StepFunction, g: StepFunction, p: float) -> float:
 
 
 def inner_product(f: StepFunction, g: StepFunction) -> float:
-    """L^2 inner product <f, g> = (1/H) * sum f_i * g_i * len_i."""
-    return inner_product_row(pack([f, g]), 0)[0]
+    """L^2 inner product <f, g> = (1/H) * sum f_i * g_i * len_i; +-inf only beyond the float range.
+
+    The cells are summed on the ``unit_pack`` rows and scaled back once.
+    """
+    packed, e = unit_pack([f, g])
+    total = inner_product_row(packed, 0)[0]
+    try:
+        return math.ldexp(total, int(e[0] + e[1]))
+    except OverflowError:
+        return math.copysign(INF, total)
 
 
 def normalize(f: StepFunction, p: float) -> StepFunction:

@@ -1,4 +1,4 @@
-"""Packaging checks: console scripts resolve, and no module imports a name it never uses.
+"""Packaging checks: console scripts resolve, no module imports a name it never uses, no private name is unused.
 
 The other tests call ``cli.main`` directly, so a stale ``[project.scripts]``
 target would otherwise only show up after installing the package.
@@ -46,3 +46,29 @@ def test_modules_use_every_name_they_import():
                 used.update(ast.literal_eval(node.value))  # a re-export counts as a use
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_private_definitions_are_used():
+    defined = []
+    used = set()
+    for path in sorted(Path(stepdist.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((f"{path.name}:{node.lineno}", name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert [f"{where}: {name}" for where, name in defined if name not in used] == []

@@ -205,6 +205,23 @@ class TestInnerProduct:
         # Terms inf and -inf whose true sum is still beyond the float range.
         assert inner_product(StepFunction(bps, (2e200, 1e200)), g) == sign * math.inf
 
+    def test_scales_exactly_by_powers_of_two(self):
+        # Values in (-1, 1), g's down to 2^-40, stay normal when scaled; their products need not.
+        def scaled(u, k):
+            return StepFunction(u.breakpoints, tuple(math.ldexp(v, k) for v in u.values))
+
+        rng = np.random.default_rng(5)
+        unequal = []
+        for _ in range(200):
+            f = random_step_function(rng, vmax=1.0)
+            g = random_step_function(rng, vmax=1.0)
+            g = StepFunction(g.breakpoints, tuple(np.ldexp(g.values, -rng.integers(0, 41, len(g.values)))))
+            for a, b in [(-500, -500), (-510, -510), (600, -600)]:
+                got = inner_product(scaled(f, a), scaled(g, b))
+                if got != math.ldexp(inner_product(f, g), a + b):
+                    unequal.append((f, g, a, b, got))
+        assert unequal == []
+
 
 class TestNormalize:
     def test_constant_five_becomes_one(self):
