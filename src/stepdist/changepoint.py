@@ -674,15 +674,17 @@ def _at_least(a: tuple[int, int], b: tuple[int, int]) -> bool:
 
 
 class _Window:
-    """The observed split of one scaled window, and the exceedance count of its permutation rows.
+    """The observed split of one window, and the exceedance count of its permutation rows.
 
-    ``c`` is the window centred once on its float mean. The mean scan and
-    the certification of both attributes read rows of ``c``; the variance
-    scan reads rows of ``w`` and centres each row itself.
+    Takes the raw window and scales it (``_unit_scaled``) into ``w``. ``c``
+    is ``w`` centred once on its float mean. The mean scan and the
+    certification of both attributes read rows of ``c``; the variance scan
+    reads rows of ``w`` and centres each row itself.
     """
 
-    def __init__(self, w: np.ndarray, min_segment: int, attribute: Attribute):
+    def __init__(self, x: np.ndarray, min_segment: int, attribute: Attribute):
         mean = attribute is Attribute.MEAN
+        w, _ = _unit_scaled(x)
         self.w, self.ms, self.attribute = w, min_segment, attribute
         self.c = w - w.mean()
         a, e = _sum_error(self.c)
@@ -798,15 +800,14 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         lo, hi = windows.pop()
         if hi - lo < 2 * ms:
             continue
-        w, _ = _unit_scaled(x[lo:hi])
-        window = _Window(w, ms, attribute)
-        max_rows = max(1, _BLOCK_CELLS[attribute] // w.size)
+        window = _Window(x[lo:hi], ms, attribute)
+        max_rows = max(1, _BLOCK_CELLS[attribute] // (hi - lo))
         source = (_SUB_ROWS if hi - lo < n else _WHOLE_ROWS).rows(params.seed, lo, hi, b)
         exceed = done = 0
         rows = _FIRST_BLOCK_ROWS
         # Rows are read into one intp buffer per window: take() would turn
         # uint16 rows into a fresh intp array on every call.
-        ibuf = np.empty((min(b, max_rows), w.size), np.intp)
+        ibuf = np.empty((min(b, max_rows), hi - lo), np.intp)
         # Past the limit the split is rejected; once the permutations left
         # cannot pass it, the split is accepted.
         while exceed <= limit and exceed + (b - done) > limit:
@@ -829,21 +830,14 @@ def detection_order(series: list[TimeSeries], params: DetectionParams) -> list[i
     Series that split the whole window alike go on to test the same
     sub-windows, so detecting them back to back lets those windows share
     their permutation rows; the order changes no result. The split is the
-    float argmax of the observed scan, as ties need no exact decision here.
-    When a series is too short to test, the input order is kept, so the
-    error names the first such series.
+    one ``_Window`` picks from the raw series, exact ties included, so it is
+    the split the detector tests first. When a series is too short to test,
+    the input order is kept, so the error names the first such series.
     """
     ms = params.min_segment
     if any(ts.values.size < 2 * ms for ts in series):
         return list(range(len(series)))
-
-    def split(ts: TimeSeries) -> int:
-        w, _ = _unit_scaled(ts.values)
-        if params.attribute is Attribute.MEAN:
-            w = w - w.mean()
-        return int(np.argmax(_scan_profile(w[np.newaxis, :], ms, params.attribute)))
-
-    splits = [split(ts) for ts in series]
+    splits = [_Window(ts.values, ms, params.attribute).best for ts in series]
     return sorted(range(len(series)), key=splits.__getitem__)
 
 

@@ -72,7 +72,7 @@ class PipelineConfig(DetectionParams):
 
     p: float = 1.0
     linkage: Linkage = Linkage.AVERAGE
-    k: int | None = None  # None selects k per matrix by eigengap
+    k: int | None = None  # None selects k once per matrix family by eigengap
     series_path: str | None = None
     metadata_path: str | None = None
     out_dir: str | None = None

@@ -500,8 +500,7 @@ class TestRowCertification:
         assert (n - 2 * ms) % 8 == 7
         prefix = np.r_[np.ones(ones - ms + extra), -np.ones(ones - 7), np.zeros(n - 2 * ones - extra)]
         x = np.r_[np.random.default_rng(5).permutation(prefix), -np.ones(7), np.ones(ms)] + offset
-        w, _ = changepoint_module._unit_scaled(x)
-        window = changepoint_module._Window(w, ms, Attribute.MEAN)
+        window = changepoint_module._Window(x, ms, Attribute.MEAN)
         assert window.best + ms == n - ms and window.runs is not None
         assert not window.certified(window.c[np.newaxis, :])[0]
         # It misses the last run's limit by less than one value.
@@ -519,8 +518,7 @@ class TestRowCertification:
         rng = np.random.default_rng(7)
         left = rng.permutation(np.repeat([-2.0, 2.0], (n - ms) // 2))
         right = rng.permutation(np.r_[-np.ones(4), np.ones(4), np.zeros(ms - 8)])
-        w, _ = changepoint_module._unit_scaled(np.r_[left, right] + offset)
-        window = changepoint_module._Window(w, ms, Attribute.VARIANCE)
+        window = changepoint_module._Window(np.r_[left, right] + offset, ms, Attribute.VARIANCE)
         assert window.best + ms == n - ms and window.runs is not None
         assert not window.certified(window.c[np.newaxis, :])[0]
         # It misses the last run's bound, var_l_hi < low_obs var_r_lo, by
@@ -542,8 +540,7 @@ class TestRowCertification:
     def test_observed_variance_score_of_inf_or_one_certifies_nothing(self, values):
         # F is at least 1, and +inf is an unresolved split's own score, so
         # no bound is built that could meet an inf * 0 or a nan.
-        w, _ = changepoint_module._unit_scaled(values)
-        window = changepoint_module._Window(w, 20, Attribute.VARIANCE)
+        window = changepoint_module._Window(values, 20, Attribute.VARIANCE)
         assert not 1.0 < window.low_obs < math.inf
         assert window.runs is None
         params = DetectionParams(Attribute.VARIANCE, min_segment=20)
@@ -555,8 +552,7 @@ class TestRowCertification:
         # observed score exactly and so counts as an exceedance.
         rng = np.random.default_rng(17)
         x = rng.standard_normal(200) + np.repeat([0.0, 4.0], 100)
-        w, _ = changepoint_module._unit_scaled(x)
-        window = changepoint_module._Window(w, 10, Attribute.MEAN)
+        window = changepoint_module._Window(x, 10, Attribute.MEAN)
         index = np.array([rng.permutation(200), np.arange(200), rng.permutation(200)])
         assert window.certified(window.c.take(index)).tolist() == [True, False, True]
         assert window.exceedances(index) == 1
@@ -977,6 +973,32 @@ class TestExactTies:
         assert x == x[::-1]
         assert detect_change_points(TimeSeries("p", x), DetectionParams(min_segment=11)).points == (11,)
 
+    @pytest.mark.parametrize(
+        "params, a, b",
+        [
+            # Splits 3 and 28 of a tie exactly, and float rounding puts the
+            # maximum at 28; b splits at 13.
+            (
+                DetectionParams(min_segment=3),
+                [2, 2, 1, 1, 1, 0, 0, 1, 2, 0, 0, 0, 2, 0, 0, 1, 2, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 1, 2, 2],
+                [0] * 13 + [2] * 18,
+            ),
+            # a's exact maximum is at split 8 and its float maximum at 15.
+            (
+                DetectionParams(attribute=Attribute.VARIANCE, min_segment=6),
+                [0, 2, 1, 0, 2, 1, 2, 0, 1, 0, 2, 1, 1, 2, 1, 0, 0, 0, 1, 2, 1, 2, 2],
+                [0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1],
+            ),
+        ],
+    )
+    def test_detection_order_ranks_by_the_detectors_split(self, params, a, b):
+        # The order sorts on the whole-window split that detection tests,
+        # exact ties included, not on the float argmax of the scan.
+        series = [TimeSeries("a", a), TimeSeries("b", b)]
+        splits = [changepoint_module._Window(ts.values, params.min_segment, params.attribute).best for ts in series]
+        assert splits[0] < splits[1]
+        assert changepoint_module.detection_order(series, params) == [0, 1]
+
     @pytest.mark.parametrize("attribute", list(Attribute))
     def test_integer_data_matches_exact_oracle(self, attribute, monkeypatch):
         decided_exactly = []
@@ -1124,6 +1146,10 @@ class TestValidation:
     def test_change_points_strictly_increasing(self):
         with pytest.raises(ValueError):
             ChangePointSet((3, 3))
+
+    def test_change_points_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^change points must be positive, got \(0,\)$"):
+            ChangePointSet((0,))
 
     @pytest.mark.parametrize("bad", [2.7, 2.5, np.float64(4.000001), np.nan, np.inf, -np.inf])
     def test_change_points_must_be_integral(self, bad):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from stepdist import (
+    ClusterAssignment,
+    Dendrogram,
     LabeledSquareMatrix,
     Linkage,
     MatrixKind,
@@ -14,6 +16,7 @@ from stepdist import (
     to_affinity,
     to_newick,
 )
+from stepdist.clustering import _farthest_point_init, _lloyd
 from stepdist.errors import BadK
 from stepdist.matrices import consistency_matrix
 
@@ -181,6 +184,21 @@ class TestCut:
         cut = cut_dendrogram(dend, k)
         assert cut == cut_dendrogram(dend, 2) and type(cut.k) is int
 
+    def test_dendrogram_needs_one_merge_fewer_than_leaves(self):
+        with pytest.raises(ValueError, match="^3 leaves need 2 merges$"):
+            Dendrogram(("a", "b", "c"), ((0, 1, 1.0, 2),))
+
+    @pytest.mark.parametrize(
+        "assignments, k, message",
+        [
+            ((0, 1), 2, "one assignment per label required"),
+            ((0, 0, 2), 3, r"every cluster 0..2 must be nonempty, got \[0, 2\]"),
+        ],
+    )
+    def test_malformed_assignment_rejected(self, assignments, k, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClusterAssignment(("a", "b", "c"), assignments, k)
+
 
 class TestNewick:
     def test_structure(self):
@@ -269,6 +287,17 @@ class TestSpectral:
     def test_clusters_numbered_by_first_appearance(self):
         a = block_affinity("abcde", [(1, 3), (0, 2, 4)])
         assert spectral_cluster(a, 2, seed=5).assignments == (0, 1, 0, 1, 0)
+
+    def test_empty_kmeans_cluster_is_reseeded(self):
+        # k is above the number of distinct points, so the farthest-point
+        # start repeats a centre and a cluster starts out empty.
+        points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        centers = _farthest_point_init(points, 3, np.random.default_rng(0))
+        assert centers.tolist() == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        labels, inertia = _lloyd(points, centers)
+        assert labels.tolist() == [2, 1, 0, 0]
+        assert np.bincount(labels, minlength=3).min() > 0
+        assert inertia == 0.0
 
     @pytest.mark.parametrize("kind", ["distance", "affinity", "alignment", "consistency"])
     def test_affinity_view_has_no_zero_degree(self, kind):

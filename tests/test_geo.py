@@ -76,6 +76,10 @@ class TestGeoMatrix:
                 [StationMetadata("x", 0.0, 0.0), StationMetadata("x", 1.0, 1.0)]
             )
 
+    def test_one_station_rejected(self):
+        with pytest.raises(ValueError, match="^need at least 2 stations, got 1$"):
+            geo_distance_matrix([StationMetadata("x", 0.0, 0.0)])
+
 
 class TestStationCsv:
     def test_round_trip(self, tmp_path):

@@ -40,6 +40,32 @@ class TestKindInvariants:
         with pytest.raises(ValueError):
             LabeledSquareMatrix(("a", "b"), m, MatrixKind.AFFINITY)
 
+    @pytest.mark.parametrize(
+        "kind, off, message",
+        [
+            (MatrixKind.ALIGNMENT, -1.5, "alignment matrix needs unit diagonal and entries in [-1, 1]"),
+            (MatrixKind.CONSISTENCY, -2.5, "consistency matrix needs entries in [-2, 1]"),
+            (MatrixKind.CONSISTENCY, 1.5, "consistency matrix needs entries in [-2, 1]"),
+        ],
+    )
+    def test_signed_kinds_reject_out_of_range(self, kind, off, message):
+        m = np.array([[1.0, off], [off, 1.0]])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LabeledSquareMatrix(("a", "b"), m, kind)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (np.zeros((2, 3)), "entries must be 2x2, got (2, 3)"),
+            (np.zeros((3, 3)), "entries must be 2x2, got (3, 3)"),
+            (np.array([[0.0, math.inf], [math.inf, 0.0]]), "entries must be finite"),
+            (np.array([[0.0, math.nan], [math.nan, 0.0]]), "entries must be finite"),
+        ],
+    )
+    def test_malformed_entries_rejected(self, entries, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LabeledSquareMatrix(("a", "b"), entries, MatrixKind.DISTANCE)
+
     def test_asymmetry_rejected(self):
         m = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
@@ -72,6 +98,17 @@ class TestUnscaledDistance:
                     expected = 0.0 if i == j else lp_distance(fs[i], fs[j], p)
                     assert m.entries[i, j] == expected
 
+    @pytest.mark.parametrize(
+        "n, labels, message",
+        [
+            (2, ("a",), "labels and functions must have equal length"),
+            (1, None, "need at least 2 functions, got 1"),
+        ],
+    )
+    def test_malformed_collection_rejected(self, n, labels, message):
+        fs = [StepFunction.constant(1.0, 1.0)] * n
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            unscaled_distance_matrix(fs, 1, labels=labels)
 
     @pytest.mark.parametrize("p, name", [(1, "L^1"), (2.5, "L^2.5"), (math.inf, "L^inf")])
     def test_overflowing_distance_names_its_pair(self, p, name):
@@ -122,6 +159,12 @@ class TestAlignment:
         f = StepFunction((0.0, 0.5, 1.0), (1.0, -2.0))
         g = StepFunction((0.0, 0.5, 1.0), (-1.0, 2.0))
         assert alignment_matrix([f, g]).entries[0, 1] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_zero_function_identified_by_label(self):
+        # ``run`` stops at the same check in normalized_distance_matrix first.
+        fs = [StepFunction.constant(1.0, 1.0), StepFunction.constant(0.0, 1.0)]
+        with pytest.raises(ZeroFunction, match="^series 'zed' embeds to the zero function$"):
+            alignment_matrix(fs, labels=("ok", "zed"))
 
 
 class TestAffinity:
@@ -221,6 +264,15 @@ class TestConsistency:
         g = to_affinity(unscaled_distance_matrix(random_collection(rng, 2), 1, labels=("a", "c")))
         with pytest.raises(LabelMismatch):
             consistency_matrix(a, g)
+
+    def test_kinds_checked(self):
+        d = unscaled_distance_matrix(random_collection(np.random.default_rng(8), 2), 1)
+        a = to_affinity(d)
+        with pytest.raises(ValueError, match="^first argument must be affinity or alignment, got distance$"):
+            consistency_matrix(d, a)
+        alignment = LabeledSquareMatrix(d.labels, np.eye(2), MatrixKind.ALIGNMENT)
+        with pytest.raises(ValueError, match="^second argument must be an affinity matrix, got alignment$"):
+            consistency_matrix(a, alignment)
 
 
 class TestMatrixNorm:

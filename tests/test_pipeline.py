@@ -812,6 +812,13 @@ class TestCli:
         cfg.write_text("wibble = 3\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_config_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# settings\nwibble 3\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value', got 'wibble 3'\n"
+        assert not (tmp_path / "o").exists()
+
     def test_metadata_config_key_rejected_by_compare_metrics(self, tmp_path):
         # compare-metrics has no --metadata flag, so the config key is unknown.
         cfg = tmp_path / "cmp.cfg"

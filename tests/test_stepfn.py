@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,9 @@ class TestConstruction:
         assert f(0.25) == 1.0
         assert f(0.75) == 2.0
         assert f(1.0) == 2.0
+        for x in (-0.5, 1.5):
+            with pytest.raises(ValueError, match=re.escape(f"x = {x} outside domain [0, 1.0]")):
+                f(x)
 
     def test_json_round_trip_lossless(self):
         rng = np.random.default_rng(0)
@@ -152,6 +156,10 @@ class TestDistance:
     def test_domain_mismatch(self):
         with pytest.raises(DomainMismatch):
             lp_distance(StepFunction.constant(1.0, 1.0), StepFunction.constant(1.0, 2.0), 1)
+
+    def test_empty_collection_cannot_pack(self):
+        with pytest.raises(ValueError, match="^cannot pack an empty collection$"):
+            pack([])
 
     def test_triangle_inequality_sample(self):
         rng = np.random.default_rng(9)

@@ -178,6 +178,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             RegimeSpec("s", 100, (99,), (0.0, 1.0), (0.0, 0.0), seed=0)
 
+    def test_length_at_least_two(self):
+        with pytest.raises(ValueError, match="^length must be >= 2, got 1$"):
+            RegimeSpec("s", 1, (), (0.0,), (0.0,), seed=0)
+
     def test_one_mean_per_segment(self):
         with pytest.raises(ValueError):
             RegimeSpec("s", 100, (50,), (0.0,), (0.0,), seed=0)
@@ -191,3 +195,6 @@ class TestSpecValidation:
             PerturbationSpec(-1, 5, 1.0)
         with pytest.raises(ValueError):
             PerturbationSpec(0, 0, 1.0)
+        for epsilon in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^epsilon must be finite$"):
+                PerturbationSpec(0, 5, epsilon)
