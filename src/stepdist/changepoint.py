@@ -214,21 +214,19 @@ class DetectionParams:
 
 
 # Permutation rows are scanned in blocks: the first holds _FIRST_BLOCK_ROWS
-# rows and each next one twice as many, capped at _BLOCK_CELLS[attribute]
-# cells (rows x window length), so short windows make few scan calls and no
-# window builds B x n arrays. Block sizes change no decision. Each cap was
-# measured against the other value on a 2-CPU Xeon:
-# - variance: 2^15 bounds the scan's temporaries, several float64 arrays
-#   of one block each. At 2^17, `long_variance` peak_rss_mb rose to 48.48,
-#   49.21 and 49.68 MB, against 45.09, 45.34 and 46.08 MB at 2^15
-#   (`perfbench/run.py --seconds 20`, seeds 501-503, split tables kept for
-#   one window).
-# - mean: 2^17 keeps the number of blocks, and of calls per block, low. At
-#   2^15, in-process detection of `reference` (seed 501) took 0.563, 0.497
-#   and 0.480 s of CPU against 0.443, 0.499 and 0.447 s at 2^17 (medians of
-#   5 passes, alternated).
+# rows and each next one twice as many, capped at _BLOCK_CELLS cells (rows x
+# window length), so short windows make few scan calls and no window builds
+# B x n arrays. Block sizes change no decision. Measured against 2^17 on a
+# 2-CPU Xeon, 2^15 bounds the variance scan's temporaries, several float64
+# arrays of one block each: `long_variance` peak_rss_mb was 45.09, 45.34 and
+# 46.08 MB against 48.48, 49.21 and 49.68 MB (`perfbench/run.py --seconds 20`,
+# seeds 501-503, split tables kept for one window). With certified rows never
+# scanned, the mean loses no time to it: in-process detection of `reference`
+# (seed 77) took a median of 0.294 s against 0.309 s (12 passes, alternated),
+# and of four 50,000-sample series, whose blocks shrink from 2 rows to 1,
+# 2.19 s against 2.23 s (6 passes).
 _FIRST_BLOCK_ROWS = 16
-_BLOCK_CELLS = {Attribute.MEAN: 2**17, Attribute.VARIANCE: 2**15}
+_BLOCK_CELLS = 2**15
 
 # Rows are certified from their sums at the start of each run of
 # _CERTIFY_RUN consecutive splits (``_run_limits``, ``_variance_run_limits``)
@@ -732,27 +730,25 @@ class _Window:
         """How many of the permutation rows ``index`` reach the observed score exactly.
 
         Each row of ``index`` permutes the window's positions. Rows are
-        certified first, gathered from ``c``, and only the rest are scanned,
-        until a block certifies none: from then on every row of the window
-        is scanned. The mean scan gathers ``c``, the variance scan and the
-        exact decision ``w``.
+        certified first, gathered from ``c``, and certified rows leave
+        ``index`` (for the mean, also the gathered block), so the scan and
+        the exact decision read only the rows left. Once a block certifies
+        none, every later row of the window is scanned. The mean scan reads
+        rows of ``c``, the variance scan and the exact decision rows of ``w``.
         """
         mean = self.attribute is Attribute.MEAN
         # Rows of c, for certification and the mean scan: the bits of w.take(index) - mean.
         block = self.c.take(index) if mean or self.runs is not None else None
-        kept = None
         if self.runs is not None:
-            certified = self.certified(block)
-            if certified.all():
+            rest = ~self.certified(block)
+            if not rest.any():
                 return 0
-            if certified.any():
-                kept = np.flatnonzero(~certified)
-            else:
-                self.runs = None
+            if rest.all():
+                self.runs = None  # every later row of the window is scanned
+            index = index[rest]
+            block = block[rest] if mean else None
         if not mean:
-            block = self.w.take(index if kept is None else index[kept])
-        elif kept is not None:
-            block = block[kept]
+            block = self.w.take(index)
         ms, attribute = self.ms, self.attribute
         stats = _scan(block, ms, attribute, self.sizes)
         low, high = _bounds(stats.max(axis=1), attribute, self.band)
@@ -762,7 +758,7 @@ class _Window:
             if self.target is None:
                 self.target = _exact_scores(self.w, np.array([self.best + ms]), ms, attribute, self.profile)[0]
             splits = np.flatnonzero(_bounds(stats[r], attribute, self.band)[1] >= self.low_obs) + ms
-            row = self.w.take(index[r if kept is None else kept[r]])
+            row = self.w.take(index[r])
             scores = _exact_scores(row, splits, ms, attribute, stats[r])
             count += any(_at_least(s, self.target) for s in scores)
         return count
@@ -801,7 +797,7 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         if hi - lo < 2 * ms:
             continue
         window = _Window(x[lo:hi], ms, attribute)
-        max_rows = max(1, _BLOCK_CELLS[attribute] // (hi - lo))
+        max_rows = max(1, _BLOCK_CELLS // (hi - lo))
         source = (_SUB_ROWS if hi - lo < n else _WHOLE_ROWS).rows(params.seed, lo, hi, b)
         exceed = done = 0
         rows = _FIRST_BLOCK_ROWS

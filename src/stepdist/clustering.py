@@ -22,6 +22,9 @@ from .changepoint import _integral
 from .errors import BadK
 from .matrices import LabeledSquareMatrix, MatrixKind, to_affinity
 
+# Lloyd iterations per k-means restart, unless the labels settle first.
+_LLOYD_ITERATIONS = 300
+
 
 class Linkage(str, Enum):
     SINGLE = "single"
@@ -222,10 +225,10 @@ def _farthest_point_init(points: np.ndarray, k: int, rng: np.random.Generator) -
     return points[chosen].copy()
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300) -> tuple[np.ndarray, float]:
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     n, k = points.shape[0], centers.shape[0]
     labels = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_ITERATIONS):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         for c in range(k):

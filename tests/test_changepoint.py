@@ -342,18 +342,21 @@ class TestSequentialCalibration:
         assert detect_change_points(jump, params).points == (1500,)
         top = [r for r, n in blocks if n == 3000]
         assert sum(top) == params.permutations - 9
-        assert top[0] == changepoint_module._FIRST_BLOCK_ROWS
-        assert all(r * n <= changepoint_module._BLOCK_CELLS[Attribute.MEAN] for r, n in blocks)
+        # One cap for both attributes binds before the first block's 16 rows: 2^15 // 3000 = 10.
+        cap = changepoint_module._BLOCK_CELLS
+        assert cap // 3000 < changepoint_module._FIRST_BLOCK_ROWS
+        assert set(top) == {cap // 3000}
+        assert all(r * n <= cap for r, n in blocks)
+        # The halves, of 2^15 // 1500 = 21 rows at most, start at the first block's 16.
+        assert [r for r, n in blocks if n == 1500][0] == changepoint_module._FIRST_BLOCK_ROWS
         # Every permutation row of the whole window is certified, so only its observed row is scanned.
         assert [shape for shape in scans if shape[1] == 3000] == [(1, 3000)]
-        # The variance cap binds before the first block's 16 rows: 2^15 // 3000 = 10.
         blocks.clear()
         params = DetectionParams(attribute=Attribute.VARIANCE, min_segment=100)
         spread = TimeSeries("v", noise.values * np.r_[np.ones(1500), np.full(1500, 4.0)])
         assert 1500 in detect_change_points(spread, params).points
         top = [r for r, n in blocks if n == 3000]
         assert sum(top) == params.permutations - 9
-        cap = changepoint_module._BLOCK_CELLS[Attribute.VARIANCE]
         assert set(top) == {cap // 3000}
         assert all(r * n <= cap for r, n in blocks)
 
@@ -899,7 +902,7 @@ class TestVarianceKernel:
 
         monkeypatch.setattr(changepoint_module, "_scan", recording)
         for cap in (1, 2**10, 2**15, 2**17, params.permutations * n):
-            monkeypatch.setitem(changepoint_module._BLOCK_CELLS, params.attribute, cap)
+            monkeypatch.setattr(changepoint_module, "_BLOCK_CELLS", cap)
             shapes.clear()
             assert [detect_change_points(ts, params).points for ts in series] == expected, cap
             assert all(r == 1 or r * w <= cap for r, w in shapes)
