@@ -213,19 +213,18 @@ class DetectionParams:
             )
 
 
-# Permutation rows are scanned in blocks: the first holds _FIRST_BLOCK_ROWS
-# rows and each next one twice as many, capped at _BLOCK_CELLS cells (rows x
-# window length), so short windows make few scan calls and no window builds
-# B x n arrays. Block sizes change no decision. Measured against 2^17 on a
-# 2-CPU Xeon, 2^15 bounds the variance scan's temporaries, several float64
-# arrays of one block each: `long_variance` peak_rss_mb was 45.09, 45.34 and
-# 46.08 MB against 48.48, 49.21 and 49.68 MB (`perfbench/run.py --seconds 20`,
-# seeds 501-503, split tables kept for one window). With certified rows never
-# scanned, the mean loses no time to it: in-process detection of `reference`
-# (seed 77) took a median of 0.294 s against 0.309 s (12 passes, alternated),
-# and of four 50,000-sample series, whose blocks shrink from 2 rows to 1,
-# 2.19 s against 2.23 s (6 passes).
-_FIRST_BLOCK_ROWS = 16
+# Permutation rows are scanned in blocks, each twice as many rows as the one
+# before, capped at _BLOCK_CELLS cells (rows x window length), so short
+# windows make few scan calls and no window builds B x n arrays. Block sizes
+# change no decision. Measured against 2^17 on a 2-CPU Xeon, 2^15 bounds the
+# variance scan's temporaries, several float64 arrays of one block each:
+# `long_variance` peak_rss_mb was 45.09, 45.34 and 46.08 MB against 48.48,
+# 49.21 and 49.68 MB (`perfbench/run.py --seconds 20`, seeds 501-503, split
+# tables kept for one window). With certified rows never scanned, the mean
+# loses no time to it: in-process detection of `reference` (seed 77) took a
+# median of 0.294 s against 0.309 s (12 passes, alternated), and of four
+# 50,000-sample series, whose blocks shrink from 2 rows to 1, 2.19 s against
+# 2.23 s (6 passes).
 _BLOCK_CELLS = 2**15
 
 # Rows are certified from their sums at the start of each run of
@@ -800,7 +799,8 @@ def detect_change_points(series: TimeSeries, params: DetectionParams) -> ChangeP
         max_rows = max(1, _BLOCK_CELLS // (hi - lo))
         source = (_SUB_ROWS if hi - lo < n else _WHOLE_ROWS).rows(params.seed, lo, hi, b)
         exceed = done = 0
-        rows = _FIRST_BLOCK_ROWS
+        # A window of p-value 1/2 gets the limit + 1 exceedances that reject it in about this many rows.
+        rows = 2 * (limit + 1)
         # Rows are read into one intp buffer per window: take() would turn
         # uint16 rows into a fresh intp array on every call.
         ibuf = np.empty((min(b, max_rows), hi - lo), np.intp)
@@ -844,6 +844,8 @@ def segment_statistics(
 
     Segment i collects observations with index in [c_i, c_{i+1}) for
     c_0 = 0, ..., c_m, and the final segment [c_m, H] includes index H.
+    A statistic beyond the double range, which only a variance can be,
+    raises ``ValueError`` naming the series and the segment.
     """
     attribute = Attribute(attribute)
     n = series.values.size
@@ -856,9 +858,13 @@ def segment_statistics(
         seg = series.values[start:end]
         if attribute is Attribute.VARIANCE and seg.size < 2:
             raise DegenerateSegment(
-                f"variance needs >= 2 observations, segment [{start}, {end}) has {seg.size}"
+                f"series {series.id!r}: variance needs >= 2 observations, segment [{start}, {end}) has {seg.size}"
             )
         out.append(_segment_statistic(seg, attribute))
+        if math.isinf(out[-1]):
+            raise ValueError(
+                f"{attribute.value} of series {series.id!r} on segment [{start}, {end}) exceeds the double range"
+            )
     return tuple(out)
 
 

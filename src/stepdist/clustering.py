@@ -148,7 +148,8 @@ def hierarchical_cluster(
         elif linkage is Linkage.COMPLETE:
             row = np.where(dj > di, dj, di)
         else:
-            row = (sa * di + sb * dj) / (sa + sb)
+            with np.errstate(over="ignore"):  # an overflowed average is inf, as documented above
+                row = (sa * di + sb * dj) / (sa + sb)
         c, r = (a, b) if a < b else (b, a)
         row[a] = row[b] = np.inf
         dist[c] = row

@@ -281,6 +281,43 @@ def random_series_csv(rng) -> str:
     return bom + end.join(lines) + end
 
 
+# The column kinds of ``random_collection``: each draws n values, nan marking a missing cell.
+COLUMN_KINDS = {
+    "gaussian": lambda rng, n: rng.standard_normal(n),
+    "integer": lambda rng, n: rng.integers(0, 3, n).astype(float),
+    "constant": lambda rng, n: np.full(n, rng.standard_normal()),
+    "huge": lambda rng, n: rng.choice([-1e308, 1e308], n),
+    "subnormal": lambda rng, n: rng.standard_normal(n) * 1e-310,
+    "scaled": lambda rng, n: rng.standard_normal(n) * 10.0 ** rng.choice([-300, 300]),
+    "missing": lambda rng, n: np.where(rng.random(n) < 0.4, np.nan, rng.standard_normal(n)),
+}
+
+
+def random_collection(rng) -> tuple[str, list[str], list[str]]:
+    """A wide series CSV, its series ids and the ``run`` options drawn with it.
+
+    The CSV holds 2-8 series of 8-64 rows, each column of a kind drawn from
+    ``COLUMN_KINDS`` (a missing cell is empty), so a collection may hit any
+    error of the README contract. The options draw the attribute,
+    ``--min-segment``, ``--p`` and ``--k``, some of them out of range, and
+    use 19 permutations.
+    """
+    n_series, n_rows = int(rng.integers(2, 9)), int(rng.integers(8, 65))
+    kinds = list(COLUMN_KINDS)
+    columns = [COLUMN_KINDS[kinds[int(rng.integers(len(kinds)))]](rng, n_rows).tolist() for _ in range(n_series)]
+    ids = [f"s{j}" for j in range(n_series)]
+    lines = [",".join(["t", *ids])]
+    lines += [",".join([str(t), *("" if math.isnan(c[t]) else repr(c[t]) for c in columns)]) for t in range(n_rows)]
+    options = {
+        "--attribute": rng.choice(["mean", "variance"]),
+        "--min-segment": rng.integers(2, 9),
+        "--p": rng.choice(["0.5", "1", "2", "3.5", "inf"], p=[0.1, 0.3, 0.3, 0.15, 0.15]),
+        "--k": rng.choice(["auto", "1", "2", "3", "9"], p=[0.5, 0.2, 0.15, 0.1, 0.05]),
+        "--permutations": 19,
+    }
+    return "\n".join(lines) + "\n", ids, [str(arg) for item in options.items() for arg in item]
+
+
 # --- The pairwise layer before row batching, kept verbatim -----------------
 # Per-pair merged partitions, one fsum per pair, and the O(N^3) pure-Python
 # agglomeration. The batched kernels and the vectorised linkage must agree

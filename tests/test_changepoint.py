@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -34,6 +35,14 @@ from tests.helpers import (
     full_permutation_detector,
     reference_split_sizes,
     t_scan_oracle,
+)
+
+
+# Seeds 7, 15, 21 and 291 of test_small_integer_variance_matches_exact_oracle:
+# seed 7 detects (3,) where exact arithmetic finds no change point.
+UNRESOLVED_VARIANCE_TIES = (
+    "a variance split whose smaller side is within rounding of flat keeps its float ratio, "
+    "while the exact oracle compares exact ratios"
 )
 
 
@@ -342,13 +351,15 @@ class TestSequentialCalibration:
         assert detect_change_points(jump, params).points == (1500,)
         top = [r for r, n in blocks if n == 3000]
         assert sum(top) == params.permutations - 9
-        # One cap for both attributes binds before the first block's 16 rows: 2^15 // 3000 = 10.
+        # A first block holds 2 (limit + 1) rows, 20 for limit 9 at 199 permutations and 0.05.
+        first = 2 * (9 + 1)
+        # One cap for both attributes binds before the first block's rows: 2^15 // 3000 = 10.
         cap = changepoint_module._BLOCK_CELLS
-        assert cap // 3000 < changepoint_module._FIRST_BLOCK_ROWS
+        assert cap // 3000 < first
         assert set(top) == {cap // 3000}
         assert all(r * n <= cap for r, n in blocks)
-        # The halves, of 2^15 // 1500 = 21 rows at most, start at the first block's 16.
-        assert [r for r, n in blocks if n == 1500][0] == changepoint_module._FIRST_BLOCK_ROWS
+        # The halves, of 2^15 // 1500 = 21 rows at most, start at the first block's 20.
+        assert [r for r, n in blocks if n == 1500][0] == first
         # Every permutation row of the whole window is certified, so only its observed row is scanned.
         assert [shape for shape in scans if shape[1] == 3000] == [(1, 3000)]
         blocks.clear()
@@ -1035,6 +1046,28 @@ class TestExactTies:
             assert detect_change_points(TimeSeries("z", x), params).points == expected, seed
         assert decided_exactly  # the cases reach the exact re-decision
 
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            pytest.param(seed, marks=pytest.mark.xfail(reason=UNRESOLVED_VARIANCE_TIES, strict=True))
+            if seed in (7, 15, 21, 291)
+            else seed
+            for seed in range(300)
+        ],
+    )
+    def test_small_integer_variance_matches_exact_oracle(self, seed):
+        # Values 0..2 at small min_segment: flat and nearly flat sides are
+        # common, so this covers what test_integer_data_matches_exact_oracle
+        # leaves out.
+        rng = np.random.default_rng((59, seed))
+        n = int(rng.integers(12, 81))
+        ms = int(rng.integers(3, 7))
+        significance = float(rng.choice([0.05, 0.1, 0.2, 0.5]))
+        x = rng.integers(0, 3, n).astype(float)
+        params = DetectionParams(Attribute.VARIANCE, significance, ms, 199, seed)
+        expected = exact_permutation_detector(x, "variance", significance, ms, 199, seed)
+        assert detect_change_points(TimeSeries("z", x), params).points == expected
+
     def test_mean_score_is_monotone_in_t(self):
         for seed in range(40):
             rng = np.random.default_rng((61, seed))
@@ -1113,7 +1146,8 @@ class TestSegmentStatistics:
 
     def test_degenerate_variance_segment(self):
         ts = TimeSeries("d", [1.0, 2.0, 3.0, 4.0, 5.0])
-        with pytest.raises(DegenerateSegment):
+        message = re.escape("series 'd': variance needs >= 2 observations, segment [0, 1)")
+        with pytest.raises(DegenerateSegment, match=message):
             segment_statistics(ts, ChangePointSet((1,)), Attribute.VARIANCE)
 
     def test_interior_bounds_checked(self):
@@ -1132,8 +1166,12 @@ class TestSegmentStatistics:
 
     def test_variance_beyond_float_range_is_inf(self):
         ts = TimeSeries("x", [1.5e308, -1.5e308, 1.5e308, -1.5e308])
-        assert segment_statistics(ts, ChangePointSet(()), Attribute.VARIANCE) == (float("inf"),)
-        with pytest.raises(ValueError, match="breakpoints and values must be finite"):
+        assert changepoint_module._segment_statistic(ts.values, Attribute.VARIANCE) == float("inf")
+        # The statistics and the embedding reject it, naming the series and the segment.
+        message = re.escape("variance of series 'x' on segment [0, 4) exceeds the double range")
+        with pytest.raises(ValueError, match=message):
+            segment_statistics(ts, ChangePointSet(()), Attribute.VARIANCE)
+        with pytest.raises(ValueError, match=message):
             from_changepoints(ts, ChangePointSet(()), Attribute.VARIANCE)
 
 

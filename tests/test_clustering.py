@@ -142,8 +142,8 @@ class TestHierarchical:
         # Averages of distances near the largest double overflow to inf;
         # once every live pair is inf, the two smallest node ids merge.
         d = seeded_distance(np.random.default_rng(n), n, near_max, "sum")
+        got = hierarchical_cluster(d, Linkage.AVERAGE).merges  # and raises no overflow warning
         with np.errstate(over="ignore"):
-            got = hierarchical_cluster(d, Linkage.AVERAGE).merges
             assert got == reference_hierarchical_cluster(d, Linkage.AVERAGE).merges
         assert [(i, j, size) for i, j, _, size in got] == want
         assert [h == np.inf for _, _, h, _ in got] == [t >= overflowed for t in range(n - 1)]

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from stepdist.errors import (
     ZeroFunction,
 )
 from stepdist.pipeline import PipelineConfig, _embed_all, compare_metrics, run_analysis
-from tests.helpers import random_series_csv, reference_ingest
+from tests.helpers import random_collection, random_series_csv, reference_ingest
 
 DATA = Path(__file__).parent / "data"
 FIXTURE_SERIES = DATA / "geo_fixture_series.csv"
@@ -386,13 +387,14 @@ class TestNoOutputOnError:
     # Every check that can fail runs before the first family is written, so a
     # run that fails on its data exits 2, names the culprit and leaves no
     # output directory behind.
-    def check_rejected(self, tmp_path, capsys, src, metadata, error, message):
+    def check_rejected(self, tmp_path, capsys, src, metadata, error, message, **options):
         out = tmp_path / "o"
-        config = PipelineConfig(series_path=str(src), metadata_path=metadata and str(metadata), out_dir=str(out))
+        paths = {"series_path": str(src), "metadata_path": metadata and str(metadata), "out_dir": str(out)}
         with pytest.raises(error, match=re.escape(message)):
-            run_analysis(config)
+            run_analysis(PipelineConfig(**paths, **options))
         assert not out.exists()
         argv = ["run", "--series", str(src), "--out", str(out)] + (["--metadata", str(metadata)] if metadata else [])
+        argv += [arg for key, value in options.items() for arg in (f"--{key.replace('_', '-')}", str(value))]
         assert main(argv) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -415,6 +417,57 @@ class TestNoOutputOnError:
         write_series_csv(src, ["s0", "s1"], cols, n=100)
         message = "L^1 distance between 's0' and 's1' exceeds the double range"
         self.check_rejected(tmp_path, capsys, src, None, ValueError, message)
+
+    def test_overflowing_variance(self, tmp_path, capsys):
+        # Every value is finite, but the variance of 'big' is about 2.3e616.
+        cols = [np.random.default_rng(8).normal(0, 1, 80), np.tile([-1.5e308, 1.5e308], 40)]
+        src = tmp_path / "s.csv"
+        write_series_csv(src, ["gauss", "big"], cols, n=80)
+        message = "variance of series 'big' on segment [0, 80) exceeds the double range"
+        self.check_rejected(tmp_path, capsys, src, None, ValueError, message, attribute="variance", permutations=19)
+
+
+# What an error of a seeded collection names: its file and line, a series, a
+# pair or an option. No collection-level message, one that names none of
+# these, is allowed; none has been seen in 2,000 seeded collections.
+CULPRITS = (
+    r"^{src}: row \d+",
+    r"\b(series|column) '{sid}'",
+    r"\bbetween '{sid}' and '{sid}'",
+    r"^(p|k|min_segment) must be",
+)
+
+
+class TestSeededCollections:
+    """``run`` on collections from ``random_collection`` keeps the README contract of exit codes and outputs."""
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_contract(self, tmp_path, capsys, seed):
+        text, ids, options = random_collection(np.random.default_rng((83, seed)))
+        src = tmp_path / "series.csv"
+        src.write_text(text, encoding="utf-8")
+
+        def run(out):
+            code = main(["run", "--series", str(src), "--out", str(out), *options])  # no exception escapes
+            files = sorted(out.iterdir()) if out.exists() else []
+            return code, capsys.readouterr().err, {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+        code, err, digests = run(tmp_path / "a")
+        assert run(tmp_path / "b") == (code, err, digests)
+        if code == 0:
+            written = [name for name in MATRIX_KINDS if f"{name}.csv" in digests]
+            assert len(written) == 5
+            for name in written:
+                assert read_matrix_csv(tmp_path / "a" / f"{name}.csv", MATRIX_KINDS[name]).labels == tuple(ids)
+            return
+        assert not (tmp_path / "a").exists()
+        # The collections' only input error is a column without observations.
+        rows = [line.split(",")[1:] for line in text.splitlines()[1:]]
+        empty_column = any(all(not row[j] for row in rows) for j in range(len(ids)))
+        family, message = err.strip().split(": ", 1)
+        assert (code, family) == ((1, "input error") if empty_column else (2, "error")), err
+        sid = "(" + "|".join(ids) + ")"
+        assert any(re.search(p.format(src=re.escape(str(src)), sid=sid), message) for p in CULPRITS), message
 
 
 class TestCompareMetrics:
