@@ -12,6 +12,7 @@ it chooses k itself by the eigengap heuristic (``eigengap_k``).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -98,9 +99,12 @@ def hierarchical_cluster(
     """Agglomerative clustering of a distance matrix.
 
     Ties in the minimum inter-cluster distance are broken by the smallest
-    (i, j) node-id pair, so the result is fully deterministic. If every
-    distance between live clusters has overflowed to inf, the two live
-    clusters with the smallest node ids merge.
+    (i, j) node-id pair, so the result is fully deterministic. Linkage runs
+    on the matrix scaled by 2^-e, the power of two that keeps n times its
+    largest entry inside the double range, so no average overflows; each
+    height is scaled back by 2^e. e is 0 unless that entry is within a
+    factor 4n of the largest double, and entries below 2^(e - 1022) then
+    lose low bits.
 
     The live clusters sit in the slots of an n x n matrix: a merge puts the
     new cluster in the lower of its two members' slots and retires the other.
@@ -114,9 +118,10 @@ def hierarchical_cluster(
         raise ValueError(f"hierarchical clustering expects a distance matrix, got {d.kind.value}")
     linkage = Linkage(linkage)
     n = d.n
+    e = max(0, math.frexp(d.entries.max(initial=0.0))[1] + n.bit_length() - 1023)
     # inf marks the diagonal and the columns of retired slots, so they are
-    # never a row's nearest while a live partner is finite.
-    dist = np.array(d.entries)
+    # never the nearest of a row that has a live partner.
+    dist = np.ldexp(d.entries, -e)
     np.fill_diagonal(dist, np.inf)
     node = list(range(n))
     size = [1] * n
@@ -132,14 +137,10 @@ def hierarchical_cluster(
         # the smallest (i, j) pair.
         pa = int(low[order].argmin())
         a = int(order[pa])
-        if low[a] == np.inf:  # every live pair overflowed: take the first two
-            pa, pb = 0, 1
-            a, b = order[:2].tolist()
-        else:
-            b = int(near[a])
-            pb = int((order == b).argmax())
+        b = int(near[a])
+        pb = int((order == b).argmax())
         sa, sb = size[a], size[b]
-        merges.append((node[a], node[b], float(dist[a, b]), sa + sb))
+        merges.append((node[a], node[b], math.ldexp(dist[a, b], e), sa + sb))
         di, dj = dist[a], dist[b]
         # Lance-Williams update. Between equal values where() keeps the
         # first, as min() and max() do, so even the sign of a zero is fixed.
@@ -148,8 +149,7 @@ def hierarchical_cluster(
         elif linkage is Linkage.COMPLETE:
             row = np.where(dj > di, dj, di)
         else:
-            with np.errstate(over="ignore"):  # an overflowed average is inf, as documented above
-                row = (sa * di + sb * dj) / (sa + sb)
+            row = (sa * di + sb * dj) / (sa + sb)
         c, r = (a, b) if a < b else (b, a)
         row[a] = row[b] = np.inf
         dist[c] = row

@@ -479,6 +479,11 @@ def reference_hierarchical_cluster(d: LabeledSquareMatrix, linkage: Linkage = Li
     return Dendrogram(d.labels, tuple(merges))
 
 
+def linkage_exponent(entries: np.ndarray) -> int:
+    """The e of ``hierarchical_cluster``'s working copy 2^-e * entries: n times its largest entry stays below 2^1023."""
+    return max(0, int(np.frexp(entries.max())[1]) + entries.shape[0].bit_length() - 1023)
+
+
 def _exact_split_stats(z: list[int], min_segment: int, attribute: str) -> list[tuple[int, int]]:
     """t^2 (mean) or the variance ratio F at every admissible split of the integers ``z``.
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from stepdist.clustering import _farthest_point_init, _lloyd
 from stepdist.errors import BadK
 from stepdist.matrices import consistency_matrix
 
-from tests.helpers import reference_hierarchical_cluster
+from tests.helpers import linkage_exponent, reference_hierarchical_cluster
 
 
 def distance(labels, entries):
@@ -131,27 +132,29 @@ class TestHierarchical:
             heights = np.array([[h for _, _, h, _ in got], [h for _, _, h, _ in want]])
             assert heights[0].tobytes() == heights[1].tobytes(), n
 
-    @pytest.mark.parametrize(
-        "n, want, overflowed",
-        [
-            (6, [(2, 4, 2), (1, 3, 2), (5, 6, 3), (0, 7, 3), (8, 9, 6)], 4),
-            (9, [(1, 3, 2), (0, 8, 2), (4, 7, 2), (5, 6, 2), (2, 9, 3), (10, 11, 4), (12, 13, 5), (14, 15, 9)], 5),
-        ],
-    )
-    def test_overflowed_average_merges_the_smallest_node_ids(self, n, want, overflowed):
-        # Averages of distances near the largest double overflow to inf;
-        # once every live pair is inf, the two smallest node ids merge.
-        d = seeded_distance(np.random.default_rng(n), n, near_max, "sum")
-        got = hierarchical_cluster(d, Linkage.AVERAGE).merges  # and raises no overflow warning
-        with np.errstate(over="ignore"):
-            assert got == reference_hierarchical_cluster(d, Linkage.AVERAGE).merges
-        assert [(i, j, size) for i, j, _, size in got] == want
-        assert [h == np.inf for _, _, h, _ in got] == [t >= overflowed for t in range(n - 1)]
+    @pytest.mark.parametrize("linkage", list(Linkage))
+    @pytest.mark.parametrize("draw, n", [("near_max", 6), ("near_max", 9), ("largest", 3), ("largest", 7), ("largest", 50)])
+    def test_near_max_matches_oracle_on_scaled_matrix(self, draw, n, linkage):
+        # Sums of distances near the largest double overflow, so linkage runs
+        # on the matrix scaled by 2^-e: every height is finite and equals the
+        # oracle's height on the same scaled matrix, scaled back by 2^e.
+        if draw == "near_max":
+            d = seeded_distance(np.random.default_rng(n), n, near_max, "sum")
+        else:
+            d = distance([f"s{i}" for i in range(n)], np.where(np.eye(n, dtype=bool), 0.0, np.finfo(float).max))
+        e = linkage_exponent(d.entries)
+        assert e > 0
+        scaled = reference_hierarchical_cluster(distance(d.labels, np.ldexp(d.entries, -e)), linkage).merges
+        got = hierarchical_cluster(d, linkage).merges
+        assert got == tuple((i, j, math.ldexp(h, e), size) for i, j, h, size in scaled)
+        assert all(math.isfinite(h) for _, _, h, _ in got)
 
-    def test_traced_peak_per_cell(self):
-        # One n x n working copy and a few rows, not a (2n - 1)^2 node matrix.
+    @pytest.mark.parametrize("draw", [DRAWS["continuous"], near_max], ids=["continuous", "near_max"])
+    def test_traced_peak_per_cell(self, draw):
+        # One n x n working copy and a few rows, not a (2n - 1)^2 node matrix,
+        # whether or not the working copy is scaled.
         n = 400
-        d = seeded_distance(np.random.default_rng(40), n, DRAWS["continuous"], "sum")
+        d = seeded_distance(np.random.default_rng(40), n, draw, "sum")
         tracemalloc.start()
         try:
             hierarchical_cluster(d)

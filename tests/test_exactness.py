@@ -31,6 +31,7 @@ from stepdist import (
 )
 
 from tests.helpers import (
+    linkage_exponent,
     random_step_function,
     reference_alignment,
     reference_inner_product,
@@ -126,14 +127,21 @@ def test_linkage_matches_per_pair_loop_on_ties(n, linkage):
         assert same_bits([mg[2] for mg in got], [mg[2] for mg in want])
 
 
-def test_linkage_with_overflowing_average_matches_per_pair_loop():
-    m = np.full((4, 4), 1e308)
+@pytest.mark.parametrize("top, n", [(1e308, 4), (np.finfo(float).max, 3), (np.finfo(float).max, 7), (np.finfo(float).max, 50)])
+def test_near_max_average_matches_per_pair_loop_on_scaled_matrix(top, n):
+    # The per-pair loop's averages overflow on this matrix; on the matrix
+    # scaled by 2^-e they stay finite, and linkage reports them scaled back.
+    m = np.full((n, n), top)
     np.fill_diagonal(m, 0.0)
-    d = LabeledSquareMatrix(tuple("abcd"), m, MatrixKind.DISTANCE)
-    with np.errstate(over="ignore"):
-        want = reference_linkage_loop(m, "average")
-        assert hierarchical_cluster(d, Linkage.AVERAGE).merges == want
-    assert want[-1][2] == math.inf
+    d = LabeledSquareMatrix(tuple(f"s{i}" for i in range(n)), m, MatrixKind.DISTANCE)
+    e = linkage_exponent(m)
+    want = tuple((i, j, math.ldexp(h, e), size) for i, j, h, size in reference_linkage_loop(np.ldexp(m, -e), "average"))
+    got = hierarchical_cluster(d, Linkage.AVERAGE).merges
+    assert got == want
+    assert same_bits([mg[2] for mg in got], [mg[2] for mg in want])
+    assert all(math.isfinite(mg[2]) for mg in got)
+    if top == 1e308:
+        assert got[-1][2] == 1e308  # the per-pair loop on the unscaled matrix ends at inf
 
 
 def _reference_directed(a: np.ndarray, b: np.ndarray) -> np.ndarray:

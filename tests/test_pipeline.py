@@ -459,6 +459,15 @@ class TestSeededCollections:
             assert len(written) == 5
             for name in written:
                 assert read_matrix_csv(tmp_path / "a" / f"{name}.csv", MATRIX_KINDS[name]).labels == tuple(ids)
+            for tree in (tmp_path / "a").glob("*_dendrogram.nwk"):
+                lengths = re.findall(r":([^,();]+)", tree.read_text(encoding="utf-8"))
+                assert len(lengths) == 2 * len(ids) - 2, tree.name
+                assert all(math.isfinite(float(x)) for x in lengths), (tree.name, lengths)
+
+            def non_finite(constant):
+                raise AssertionError(f"summary.json holds {constant}")
+
+            json.loads((tmp_path / "a" / "summary.json").read_text(encoding="utf-8"), parse_constant=non_finite)
             return
         assert not (tmp_path / "a").exists()
         # The collections' only input error is a column without observations.
