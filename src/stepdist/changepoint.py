@@ -871,18 +871,13 @@ def segment_statistics(
 def _segment_statistic(seg: np.ndarray, attribute: Attribute) -> float:
     """Mean or unbiased variance of one segment.
 
-    Near the top of the float range the sums inside numpy overflow; only
-    then is the statistic recomputed on the segment scaled by 2^-e
-    (``_unit_scaled``) and scaled back by 2^e (mean) or 2^(2e) (variance),
-    so every finite statistic keeps its bits and one beyond the range is inf.
+    Computed on the segment scaled by 2^-e (``_unit_scaled``), where no sum
+    overflows, and scaled back by 2^e (mean) or 2^(2e) (variance), so the
+    statistic scales exactly by powers of two and only one beyond the double
+    range is inf. Values below 2^(e - 1022) lose low bits in the copy.
     """
-    if attribute is Attribute.MEAN:
-        stat, power = np.mean, 1
-    else:
-        stat, power = (lambda v: np.var(v, ddof=1)), 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = stat(seg)
-        if not np.isfinite(value):
-            w, e = _unit_scaled(seg)
-            value = np.ldexp(stat(w), power * int(e[0]))
-    return float(value)
+    w, e = _unit_scaled(seg)
+    with np.errstate(over="ignore"):
+        if attribute is Attribute.MEAN:
+            return float(np.ldexp(np.mean(w), e[0]))
+        return float(np.ldexp(np.var(w, ddof=1), 2 * e[0]))

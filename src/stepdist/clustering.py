@@ -99,12 +99,13 @@ def hierarchical_cluster(
     """Agglomerative clustering of a distance matrix.
 
     Ties in the minimum inter-cluster distance are broken by the smallest
-    (i, j) node-id pair, so the result is fully deterministic. Linkage runs
-    on the matrix scaled by 2^-e, the power of two that keeps n times its
-    largest entry inside the double range, so no average overflows; each
-    height is scaled back by 2^e. e is 0 unless that entry is within a
-    factor 4n of the largest double, and entries below 2^(e - 1022) then
-    lose low bits.
+    (i, j) node-id pair, so the result is fully deterministic. Average
+    linkage runs on the matrix scaled by 2^-e, the power of two that keeps
+    n times its largest entry inside the double range, so no average
+    overflows; each height is scaled back by 2^e. e is 0 unless that entry
+    is within a factor 4n of the largest double, and entries below
+    2^(e - 1022) then lose low bits. Single and complete linkage form no
+    sums and read the matrix unscaled (e = 0).
 
     The live clusters sit in the slots of an n x n matrix: a merge puts the
     new cluster in the lower of its two members' slots and retires the other.
@@ -118,7 +119,9 @@ def hierarchical_cluster(
         raise ValueError(f"hierarchical clustering expects a distance matrix, got {d.kind.value}")
     linkage = Linkage(linkage)
     n = d.n
-    e = max(0, math.frexp(d.entries.max(initial=0.0))[1] + n.bit_length() - 1023)
+    e = 0
+    if linkage is Linkage.AVERAGE:
+        e = max(0, math.frexp(d.entries.max(initial=0.0))[1] + n.bit_length() - 1023)
     # inf marks the diagonal and the columns of retired slots, so they are
     # never the nearest of a row that has a live partner.
     dist = np.ldexp(d.entries, -e)

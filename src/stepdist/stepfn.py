@@ -266,14 +266,13 @@ def lp_distance(f: StepFunction, g: StepFunction, p: float) -> float:
 def inner_product(f: StepFunction, g: StepFunction) -> float:
     """L^2 inner product <f, g> = (1/H) * sum f_i * g_i * len_i; +-inf only beyond the float range.
 
-    The cells are summed on the ``unit_pack`` rows and scaled back once.
+    The cells are summed on the ``unit_pack`` rows and the sum is scaled
+    back by one ``np.ldexp``, which gives +-inf past the double range.
     """
     packed, e = unit_pack([f, g])
     total = inner_product_row(packed, 0)[0]
-    try:
-        return math.ldexp(total, int(e[0] + e[1]))
-    except OverflowError:
-        return math.copysign(INF, total)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(total, e[0] + e[1]))
 
 
 def normalize(f: StepFunction, p: float) -> StepFunction:

@@ -480,7 +480,10 @@ def reference_hierarchical_cluster(d: LabeledSquareMatrix, linkage: Linkage = Li
 
 
 def linkage_exponent(entries: np.ndarray) -> int:
-    """The e of ``hierarchical_cluster``'s working copy 2^-e * entries: n times its largest entry stays below 2^1023."""
+    """The e of average linkage's working copy 2^-e * entries: n times its largest entry stays below 2^1023.
+
+    Single and complete linkage read the entries unscaled (e = 0).
+    """
     return max(0, int(np.frexp(entries.max())[1]) + entries.shape[0].bit_length() - 1023)
 
 

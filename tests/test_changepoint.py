@@ -1164,6 +1164,21 @@ class TestSegmentStatistics:
         expected = (float(np.mean(values[:4] / 4) * 4), float(np.mean(values[4:])))
         assert segment_statistics(TimeSeries("y", values), ChangePointSet((4,)), Attribute.MEAN) == expected
 
+    def test_statistics_scale_exactly_by_powers_of_two(self):
+        # Each segment is scaled into [0.5, 1) before its sums are formed, so
+        # scaling the series by 2^k scales its mean by exactly 2^k and its
+        # variance by 4^k, also where the squared deviations are subnormal.
+        for s in range(200):
+            values = np.random.default_rng((67, s)).normal(size=int(np.random.default_rng((67, s, 1)).integers(2, 80)))
+            for attribute, power, ks in [
+                (Attribute.MEAN, 1, (1000, 500, -500, -520, -530, -537)),
+                (Attribute.VARIANCE, 2, (500, -500, -520, -530, -537)),
+            ]:
+                (stat,) = segment_statistics(TimeSeries("s", values), ChangePointSet(()), attribute)
+                for k in ks:
+                    got = segment_statistics(TimeSeries("s", np.ldexp(values, k)), ChangePointSet(()), attribute)
+                    assert got == (math.ldexp(stat, power * k),), (s, attribute, k)
+
     def test_variance_beyond_float_range_is_inf(self):
         ts = TimeSeries("x", [1.5e308, -1.5e308, 1.5e308, -1.5e308])
         assert changepoint_module._segment_statistic(ts.values, Attribute.VARIANCE) == float("inf")

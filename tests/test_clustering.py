@@ -135,19 +135,33 @@ class TestHierarchical:
     @pytest.mark.parametrize("linkage", list(Linkage))
     @pytest.mark.parametrize("draw, n", [("near_max", 6), ("near_max", 9), ("largest", 3), ("largest", 7), ("largest", 50)])
     def test_near_max_matches_oracle_on_scaled_matrix(self, draw, n, linkage):
-        # Sums of distances near the largest double overflow, so linkage runs
-        # on the matrix scaled by 2^-e: every height is finite and equals the
-        # oracle's height on the same scaled matrix, scaled back by 2^e.
+        # Sums of distances near the largest double overflow, so average
+        # linkage runs on the matrix scaled by 2^-e: every height is finite
+        # and equals the oracle's height on the same scaled matrix, scaled
+        # back by 2^e. Single and complete linkage form no sums and match the
+        # oracle on the matrix itself.
         if draw == "near_max":
             d = seeded_distance(np.random.default_rng(n), n, near_max, "sum")
         else:
             d = distance([f"s{i}" for i in range(n)], np.where(np.eye(n, dtype=bool), 0.0, np.finfo(float).max))
         e = linkage_exponent(d.entries)
         assert e > 0
-        scaled = reference_hierarchical_cluster(distance(d.labels, np.ldexp(d.entries, -e)), linkage).merges
         got = hierarchical_cluster(d, linkage).merges
-        assert got == tuple((i, j, math.ldexp(h, e), size) for i, j, h, size in scaled)
+        if linkage is Linkage.AVERAGE:
+            scaled = reference_hierarchical_cluster(distance(d.labels, np.ldexp(d.entries, -e)), linkage).merges
+            assert got == tuple((i, j, math.ldexp(h, e), size) for i, j, h, size in scaled)
+        else:
+            assert got == reference_hierarchical_cluster(d, linkage).merges
         assert all(math.isfinite(h) for _, _, h, _ in got)
+
+    def test_tiny_entries_keep_their_bits_without_averages(self):
+        # A near-max entry scales average linkage's working copy by 2^-e,
+        # which rounds 5e-324 to zero; single and complete linkage read the
+        # matrix unscaled and merge at the entry itself.
+        d = distance("abc", [[0.0, 1.7e308, 5e-324], [1.7e308, 0.0, 1.7e308], [5e-324, 1.7e308, 0.0]])
+        for linkage in (Linkage.SINGLE, Linkage.COMPLETE):
+            assert hierarchical_cluster(d, linkage).merges == ((0, 2, 5e-324, 2), (1, 3, 1.7e308, 3))
+        assert hierarchical_cluster(d, Linkage.AVERAGE).merges == ((0, 2, 0.0, 2), (1, 3, 1.7e308, 3))
 
     @pytest.mark.parametrize("draw", [DRAWS["continuous"], near_max], ids=["continuous", "near_max"])
     def test_traced_peak_per_cell(self, draw):
