@@ -250,6 +250,18 @@ def _unit_scaled(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(v, -e), e
 
 
+def _sum_exponent(largest: float, n: int) -> int:
+    """The least e >= 0 for which n values up to ``largest`` in magnitude, scaled by 2^-e, sum without overflow.
+
+    n times ``largest`` scaled by 2^-e stays below 2^1023. e is 0 unless
+    ``largest`` is within a factor 4n of the largest double, so ordinary
+    sums keep every bit; when e > 0, values below 2^(e - 1022) lose low
+    bits in the scaled copy. Sums of squares and products, which can also
+    underflow, use ``_unit_scaled``.
+    """
+    return max(0, math.frexp(largest)[1] + n.bit_length() - 1023)
+
+
 def _window_rng(seed: int, lo: int, hi: int) -> np.random.Generator:
     # Window-addressed stream: results are independent of the order windows are tested in.
     return np.random.default_rng(np.random.SeedSequence([seed % (2**63), lo, hi]))
@@ -871,13 +883,17 @@ def segment_statistics(
 def _segment_statistic(seg: np.ndarray, attribute: Attribute) -> float:
     """Mean or unbiased variance of one segment.
 
-    Computed on the segment scaled by 2^-e (``_unit_scaled``), where no sum
-    overflows, and scaled back by 2^e (mean) or 2^(2e) (variance), so the
-    statistic scales exactly by powers of two and only one beyond the double
-    range is inf. Values below 2^(e - 1022) lose low bits in the copy.
+    The mean is taken of the segment scaled by 2^-e (``_sum_exponent``),
+    where no sum overflows, and scaled back by 2^e; e is 0 unless the sum
+    could overflow. The variance is taken of the segment scaled into
+    [0.5, 1) (``_unit_scaled``), where its squares neither overflow nor
+    underflow, and scaled back by 2^(2e), so it scales exactly by powers of
+    two and only one beyond the double range is inf; values below
+    2^(e - 1022) lose low bits in that copy.
     """
-    w, e = _unit_scaled(seg)
     with np.errstate(over="ignore"):
         if attribute is Attribute.MEAN:
-            return float(np.ldexp(np.mean(w), e[0]))
+            e = _sum_exponent(np.abs(seg).max(), seg.size)
+            return float(np.ldexp(np.mean(np.ldexp(seg, -e)), e))
+        w, e = _unit_scaled(seg)
         return float(np.ldexp(np.var(w, ddof=1), 2 * e[0]))

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .changepoint import _integral
+from .changepoint import _integral, _sum_exponent
 from .errors import BadK
 from .matrices import LabeledSquareMatrix, MatrixKind, to_affinity
 
@@ -101,9 +101,10 @@ def hierarchical_cluster(
     Ties in the minimum inter-cluster distance are broken by the smallest
     (i, j) node-id pair, so the result is fully deterministic. Average
     linkage runs on the matrix scaled by 2^-e, the power of two that keeps
-    n times its largest entry inside the double range, so no average
-    overflows; each height is scaled back by 2^e. e is 0 unless that entry
-    is within a factor 4n of the largest double, and entries below
+    n times its largest entry inside the double range
+    (``changepoint._sum_exponent``, the rule segment means use), so no
+    average overflows; each height is scaled back by 2^e. e is 0 unless that
+    entry is within a factor 4n of the largest double, and entries below
     2^(e - 1022) then lose low bits. Single and complete linkage form no
     sums and read the matrix unscaled (e = 0).
 
@@ -121,7 +122,7 @@ def hierarchical_cluster(
     n = d.n
     e = 0
     if linkage is Linkage.AVERAGE:
-        e = max(0, math.frexp(d.entries.max(initial=0.0))[1] + n.bit_length() - 1023)
+        e = _sum_exponent(d.entries.max(initial=0.0), n)
     # inf marks the diagonal and the columns of retired slots, so they are
     # never the nearest of a row that has a live partner.
     dist = np.ldexp(d.entries, -e)

@@ -146,7 +146,9 @@ def alignment_matrix(fs: list[StepFunction], labels=None) -> LabeledSquareMatrix
     brings its largest magnitude into [0.5, 1) (``stepfn.unit_pack``).
     The scaling is exact and cancels in every cosine, so ordinary data gets
     the same bits as unscaled sums, while the inner products neither
-    overflow nor underflow at extreme magnitudes.
+    overflow nor underflow at extreme magnitudes. A cosine outside [-1, 1]
+    beyond rounding, or one that cannot be formed, raises ValueError naming
+    its first pair.
     """
     labels = _default_labels(fs, labels)
     norms = []
@@ -159,11 +161,14 @@ def alignment_matrix(fs: list[StepFunction], labels=None) -> LabeledSquareMatrix
     norms = np.ldexp(norms, -e)
 
     def cosines(i: int) -> np.ndarray:
-        c = np.asarray(inner_product_row(packed, i)) / (norms[i] * norms[i + 1 :])
-        if np.any(c > 1.0 + _CLAMP_TOL):
-            raise ValueError(f"cosine {c.max()} exceeds 1 beyond rounding tolerance")
-        if np.any(c < -1.0 - _CLAMP_TOL):
-            raise ValueError(f"cosine {c.min()} below -1 beyond rounding tolerance")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.asarray(inner_product_row(packed, i)) / (norms[i] * norms[i + 1 :])
+        bad = np.flatnonzero(~(np.abs(c) <= 1.0 + _CLAMP_TOL))  # nan (0 / 0) too
+        if bad.size:
+            j = bad[0]
+            raise ValueError(
+                f"L^2 cosine between {labels[i]!r} and {labels[i + 1 + j]!r} is {c[j]}, outside [-1, 1] beyond rounding"
+            )
         return np.clip(c, -1.0, 1.0)
 
     m = _pairwise(len(fs), cosines)

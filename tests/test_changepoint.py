@@ -1164,10 +1164,28 @@ class TestSegmentStatistics:
         expected = (float(np.mean(values[:4] / 4) * 4), float(np.mean(values[4:])))
         assert segment_statistics(TimeSeries("y", values), ChangePointSet((4,)), Attribute.MEAN) == expected
 
+    def test_mean_keeps_values_far_below_the_largest(self):
+        # The sum could overflow, so it is scaled by 2^-3 only, and 1e-300
+        # keeps its bits once the large values cancel.
+        ts = TimeSeries("c", [1e308, -1e308, 1e-300])
+        assert segment_statistics(ts, ChangePointSet(()), Attribute.MEAN) == (1e-300 / 3,)
+
+    def test_mean_equals_numpy_where_no_partial_sum_overflows(self):
+        # Values spread over 600 decades next to +-1e308: the mean is scaled
+        # only as far as its sum needs, so it keeps np.mean's bits.
+        for s in range(200):
+            rng = np.random.default_rng((71, s))
+            n = int(rng.integers(3, 80))
+            v = rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300)
+            v[rng.choice(n, 2, replace=False)] = (1e308, -1e308)
+            got = segment_statistics(TimeSeries("s", v), ChangePointSet(()), Attribute.MEAN)
+            assert got == (float(np.mean(v)),), s
+
     def test_statistics_scale_exactly_by_powers_of_two(self):
-        # Each segment is scaled into [0.5, 1) before its sums are formed, so
-        # scaling the series by 2^k scales its mean by exactly 2^k and its
-        # variance by 4^k, also where the squared deviations are subnormal.
+        # The mean is scaled only as far as it must be to stay in range, and
+        # the variance is scaled into [0.5, 1), so scaling the series by 2^k
+        # scales its mean by exactly 2^k and its variance by 4^k, also where
+        # the squared deviations are subnormal.
         for s in range(200):
             values = np.random.default_rng((67, s)).normal(size=int(np.random.default_rng((67, s, 1)).integers(2, 80)))
             for attribute, power, ks in [
@@ -1217,6 +1235,8 @@ class TestValidation:
         pts = ChangePointSet((2.0, np.int64(5), np.float32(7.0), np.uint8(9))).points
         assert pts == (2, 5, 7, 9)
         assert all(type(p) is int for p in pts)
+        cps = ChangePointSet((2.0, np.int64(5)))
+        assert list(cps) == [2, 5] and len(cps) == 2
         assert ChangePointSet(p for p in (1, 4)).points == (1, 4)
 
     def test_significance_range(self):

@@ -160,6 +160,15 @@ class TestAlignment:
         g = StepFunction((0.0, 0.5, 1.0), (-1.0, 2.0))
         assert alignment_matrix([f, g]).entries[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
+    def test_unformable_cosine_names_its_pair(self):
+        # Each width 1e-300 over 4e23 underflows under the normalised
+        # measure, so the cosine is 0 / 0; it names its pair.
+        f = StepFunction((0.0, 1e-300, 4e23), (1.0, 0.0))
+        g = StepFunction((0.0, 1e-300, 2e-300, 4e23), (1.0, 0.5, 0.0))
+        message = re.escape("L^2 cosine between 'f' and 'g' is nan, outside [-1, 1] beyond rounding")
+        with pytest.raises(ValueError, match=message):
+            alignment_matrix([f, g], labels=("f", "g"))
+
     def test_zero_function_identified_by_label(self):
         # ``run`` stops at the same check in normalized_distance_matrix first.
         fs = [StepFunction.constant(1.0, 1.0), StepFunction.constant(0.0, 1.0)]
